@@ -231,7 +231,7 @@ class Harness
         const double host_end = stats::hostNow();
         if (trace_ != nullptr)
             trace_->endSpan(clock_.now(), host_end);
-        options_.phase_wall->addCompute(host_end - host_begin);
+        host_compute_s_ += host_end - host_begin;
     }
 
     /** computePhase() with no per-agent commit step. */
@@ -282,7 +282,7 @@ class Harness
         const double host_end = stats::hostNow();
         if (trace_ != nullptr)
             trace_->endSpan(clock_.now(), host_end);
-        options_.phase_wall->addExecute(host_end - host_begin);
+        host_execute_s_ += host_end - host_begin;
     }
 
     /**
@@ -479,7 +479,7 @@ class Harness
         const double host_end = stats::hostNow();
         if (trace_ != nullptr)
             trace_->endSpan(clock_.now(), host_end);
-        options_.phase_wall->addExecute(host_end - host_begin);
+        host_execute_s_ += host_end - host_begin;
     }
 
     /** Run a single-actor phase (e.g., the central planner). Under
@@ -508,7 +508,7 @@ class Harness
         const double host_end = stats::hostNow();
         if (trace_ != nullptr)
             trace_->endSpan(clock_.now(), host_end);
-        options_.phase_wall->addCompute(host_end - host_begin);
+        host_compute_s_ += host_end - host_begin;
     }
 
     /** Finish bookkeeping for one global step; true when episode is over. */
@@ -547,7 +547,7 @@ class Harness
         result.token_series = std::move(token_series_);
         result.spec_exec = spec_stats_;
         fillMetrics(result);
-        options_.phase_wall->addEpisode();
+        options_.phase_wall->addEpisode(host_compute_s_, host_execute_s_);
         return result;
     }
 
@@ -748,6 +748,11 @@ class Harness
     int steps_ = 0;
     int messages_generated_ = 0;
     int messages_useful_ = 0;
+    /** Host wall time of the compute / execute phases, handed to the
+     * shared phase clock once per episode (finish()) so concurrent
+     * episodes do not contend on its lock at every phase. */
+    double host_compute_s_ = 0.0;
+    double host_execute_s_ = 0.0;
 };
 
 /** Broadcast a message to every other agent. */

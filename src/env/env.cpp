@@ -1,8 +1,58 @@
 #include "env/env.h"
 
 #include <cassert>
+#include <cstdlib>
+#include <stdexcept>
 
 namespace ebs::env {
+
+namespace {
+
+/** The anchor of every room id in [0, roomCount), in one row-major pass
+ * (see Environment::roomAnchor for the definition). */
+std::vector<Vec2i>
+computeRoomAnchors(const GridMap &grid)
+{
+    const int rooms = grid.roomCount();
+    std::vector<Vec2i> best(static_cast<std::size_t>(rooms), Vec2i{-1, -1});
+    std::vector<long> best_score(static_cast<std::size_t>(rooms), -1);
+    std::vector<Vec2i> fallback(static_cast<std::size_t>(rooms),
+                                Vec2i{-1, -1});
+    static const Vec2i kDirs[4] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+    for (int y = 0; y < grid.height(); ++y) {
+        for (int x = 0; x < grid.width(); ++x) {
+            const Vec2i p{x, y};
+            const int room = grid.room(p);
+            if (room < 0 || room >= rooms || !grid.walkable(p))
+                continue;
+            const auto r = static_cast<std::size_t>(room);
+            if (fallback[r].x < 0)
+                fallback[r] = p;
+            bool interior = true;
+            for (const auto &d : kDirs) {
+                const int neighbor_room = grid.room(p + d);
+                if (neighbor_room >= 0 && neighbor_room != room)
+                    interior = false;
+            }
+            if (!interior)
+                continue;
+            // Nearest the grid centre (doubled to stay integral); strict
+            // comparison keeps the first cell in row-major order on ties.
+            const long score = -(std::abs(2 * x - grid.width()) +
+                                 std::abs(2 * y - grid.height()));
+            if (best[r].x < 0 || score > best_score[r]) {
+                best[r] = p;
+                best_score[r] = score;
+            }
+        }
+    }
+    for (std::size_t r = 0; r < best.size(); ++r)
+        if (best[r].x < 0)
+            best[r] = fallback[r];
+    return best;
+}
+
+} // namespace
 
 const char *
 difficultyName(Difficulty d)
@@ -45,6 +95,8 @@ Environment::setTask(std::unique_ptr<Task> task)
     assert(task != nullptr);
     assert(task_ == nullptr && "task installed twice");
     task_ = std::move(task);
+    room_anchors_ = computeRoomAnchors(world_.grid());
+    anchors_revision_ = world_.grid().revision();
 }
 
 const Task &
@@ -129,45 +181,16 @@ Environment::actionSpaceSize(int agent_id) const
 Vec2i
 Environment::roomAnchor(int room) const
 {
-    const GridMap &grid = world_.grid();
-    // Prefer a central *interior* cell so exploration lands mid-room:
-    // doorway cells carry a room label but border another room, and an
-    // agent stopping adjacent to one may never actually enter.
-    Vec2i best{-1, -1};
-    long best_score = -1;
-    static const Vec2i kDirs[4] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
-    for (int y = 0; y < grid.height(); ++y) {
-        for (int x = 0; x < grid.width(); ++x) {
-            const Vec2i p{x, y};
-            if (!grid.walkable(p) || grid.room(p) != room)
-                continue;
-            bool interior = true;
-            for (const auto &d : kDirs) {
-                const int neighbor_room = grid.room(p + d);
-                if (neighbor_room >= 0 && neighbor_room != room)
-                    interior = false;
-            }
-            if (!interior)
-                continue;
-            // Score by closeness to the room's bounding-box center proxy:
-            // just take the first then middle-ish via running average trick.
-            const long score =
-                -(std::abs(2 * x - grid.width()) +
-                  std::abs(2 * y - grid.height()));
-            if (best.x < 0 || score > best_score) {
-                best = p;
-                best_score = score;
-            }
-        }
-    }
-    if (best.x < 0) {
-        // Degenerate room with no interior cell: fall back to any cell.
-        for (int y = 0; y < grid.height() && best.x < 0; ++y)
-            for (int x = 0; x < grid.width() && best.x < 0; ++x)
-                if (grid.walkable({x, y}) && grid.room({x, y}) == room)
-                    best = {x, y};
-    }
-    return best;
+    if (task_ == nullptr)
+        throw std::logic_error(
+            "Environment::roomAnchor: no anchor table (setTask not called)");
+    if (anchors_revision_ != world_.grid().revision())
+        throw std::logic_error(
+            "Environment::roomAnchor: grid mutated after setTask, anchor "
+            "table is stale");
+    if (room < 0 || static_cast<std::size_t>(room) >= room_anchors_.size())
+        return {-1, -1};
+    return room_anchors_[static_cast<std::size_t>(room)];
 }
 
 } // namespace ebs::env

@@ -1,6 +1,7 @@
 #ifndef EBS_ENV_ENV_H
 #define EBS_ENV_ENV_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,7 +104,20 @@ class Environment
 
     /**
      * A representative walkable cell of a room (used as the Explore
-     * navigation target). Returns {-1,-1} when the room has no free cell.
+     * navigation target). Returns {-1,-1} when the room has no free cell
+     * or `room` lies outside [0, roomCount).
+     *
+     * The anchor is the room's *interior* cell (walkable, labelled `room`,
+     * no 4-neighbour labelled with another room) nearest the centre of the
+     * whole grid by Manhattan distance, the first such cell in row-major
+     * order on ties. Doorway cells carry a room label but border another
+     * room, so an agent stopping next to one may never actually enter; a
+     * room without interior cells falls back to its first walkable cell in
+     * row-major order.
+     *
+     * A table lookup: the anchors are computed once by setTask(). Throws
+     * std::logic_error when no table was built or the grid has been mutated
+     * since (a stale table).
      */
     env::Vec2i roomAnchor(int room) const;
 
@@ -112,7 +126,11 @@ class Environment
      * environment once the world is populated (object ids are then known). */
     explicit Environment(GridMap grid);
 
-    /** Install the task instance (non-null, once). */
+    /**
+     * Install the task instance (non-null, once) and precompute the room
+     * anchor table, so it must follow the concrete environment's last grid
+     * mutation.
+     */
     void setTask(std::unique_ptr<Task> task);
 
     /** Apply a domain primitive (Chop/Cook/Craft/Mine/Lift). */
@@ -120,6 +138,12 @@ class Environment
 
     World world_;
     std::unique_ptr<Task> task_;
+
+  private:
+    /** roomAnchor() of every room id in [0, roomCount), built by setTask. */
+    std::vector<Vec2i> room_anchors_;
+    /** Grid revision the table was built at; meaningful once task_ is set. */
+    std::uint64_t anchors_revision_ = 0;
 };
 
 } // namespace ebs::env

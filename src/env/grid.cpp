@@ -1,53 +1,68 @@
 #include "env/grid.h"
 
-#include <cassert>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace ebs::env {
 
+namespace {
+
+/** Cell count of a width x height map; throws unless both are positive. */
+std::size_t
+checkedArea(int width, int height)
+{
+    if (width <= 0 || height <= 0)
+        throw std::invalid_argument(
+            "GridMap: size must be positive, got " + std::to_string(width) +
+            "x" + std::to_string(height));
+    return static_cast<std::size_t>(width) *
+           static_cast<std::size_t>(height);
+}
+
+} // namespace
+
 GridMap::GridMap(int width, int height)
     : width_(width), height_(height),
-      walkable_(static_cast<std::size_t>(width) * height, 1),
-      room_(static_cast<std::size_t>(width) * height, 0)
+      walkable_(checkedArea(width, height), 1),
+      room_(walkable_.size(), 0)
 {
-    assert(width > 0 && height > 0);
 }
 
-std::size_t
-GridMap::idx(const Vec2i &p) const
+void
+GridMap::requireInBounds(const Vec2i &p, const char *what) const
 {
-    return static_cast<std::size_t>(p.y) * width_ + p.x;
-}
-
-bool
-GridMap::walkable(const Vec2i &p) const
-{
-    return inBounds(p) && walkable_[idx(p)] != 0;
+    if (!inBounds(p))
+        throw std::out_of_range(
+            std::string("GridMap::") + what + ": cell (" +
+            std::to_string(p.x) + "," + std::to_string(p.y) +
+            ") outside " + std::to_string(width_) + "x" +
+            std::to_string(height_));
 }
 
 void
 GridMap::setWalkable(const Vec2i &p, bool w)
 {
-    assert(inBounds(p));
+    requireInBounds(p, "setWalkable");
     walkable_[idx(p)] = w ? 1 : 0;
     if (!w)
         room_[idx(p)] = -1;
-}
-
-int
-GridMap::room(const Vec2i &p) const
-{
-    if (!inBounds(p))
-        return -1;
-    return room_[idx(p)];
+    ++revision_;
 }
 
 void
 GridMap::setRoom(const Vec2i &p, int room)
 {
-    assert(inBounds(p));
+    requireInBounds(p, "setRoom");
+    if (room < std::numeric_limits<std::int16_t>::min() ||
+        room > std::numeric_limits<std::int16_t>::max())
+        throw std::out_of_range("GridMap::setRoom: room id " +
+                                std::to_string(room) +
+                                " does not fit a 16-bit label");
     room_[idx(p)] = static_cast<std::int16_t>(room);
     if (room + 1 > room_count_)
         room_count_ = room + 1;
+    ++revision_;
 }
 
 std::vector<Vec2i>
@@ -67,8 +82,14 @@ GridMap::neighbors(const Vec2i &p) const
 GridMap
 GridMap::apartment(int rooms_x, int rooms_y, int room_w, int room_h)
 {
-    assert(rooms_x >= 1 && rooms_y >= 1);
-    assert(room_w >= 3 && room_h >= 3);
+    if (rooms_x < 1 || rooms_y < 1)
+        throw std::invalid_argument(
+            "GridMap::apartment: room counts must be >= 1, got " +
+            std::to_string(rooms_x) + "x" + std::to_string(rooms_y));
+    if (room_w < 3 || room_h < 3)
+        throw std::invalid_argument(
+            "GridMap::apartment: rooms must be at least 3x3, got " +
+            std::to_string(room_w) + "x" + std::to_string(room_h));
 
     // +1 wall between rooms and around the border.
     const int width = rooms_x * (room_w + 1) + 1;

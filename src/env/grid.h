@@ -14,6 +14,11 @@ namespace ebs::env {
  * Rooms drive partial observability: an agent sees objects in its current
  * room only, mirroring the egocentric views of TDW / VirtualHome. Walls are
  * non-walkable cells; doorways connect rooms.
+ *
+ * Arguments are checked in every build type: a non-positive size, an
+ * out-of-bounds write, a room id that does not fit the 16-bit label store,
+ * or a degenerate apartment throws (std::invalid_argument /
+ * std::out_of_range) instead of corrupting the map.
  */
 class GridMap
 {
@@ -30,15 +35,32 @@ class GridMap
         return p.x >= 0 && p.x < width_ && p.y >= 0 && p.y < height_;
     }
 
-    bool walkable(const Vec2i &p) const;
+    bool
+    walkable(const Vec2i &p) const
+    {
+        return inBounds(p) && walkable_[idx(p)] != 0;
+    }
+
     void setWalkable(const Vec2i &p, bool w);
 
     /** Room id of a cell (-1 for walls / out of bounds). */
-    int room(const Vec2i &p) const;
+    int
+    room(const Vec2i &p) const
+    {
+        return inBounds(p) ? room_[idx(p)] : -1;
+    }
+
     void setRoom(const Vec2i &p, int room);
 
     /** Number of distinct room labels assigned so far. */
     int roomCount() const { return room_count_; }
+
+    /**
+     * Count of mutations (setWalkable / setRoom) applied so far. Tables
+     * derived from the map record the revision they were built at, so a
+     * later mutation makes them detectably stale.
+     */
+    std::uint64_t revision() const { return revision_; }
 
     /** 4-connected walkable neighbors of a cell. */
     std::vector<Vec2i> neighbors(const Vec2i &p) const;
@@ -47,17 +69,28 @@ class GridMap
      * Build a rooms_x by rooms_y apartment: each room is room_w x room_h
      * cells, separated by one-cell walls with a centered doorway between
      * horizontally and vertically adjacent rooms. Room ids are assigned in
-     * row-major order.
+     * row-major order. Requires rooms_x, rooms_y >= 1 and room_w, room_h
+     * >= 3.
      */
     static GridMap apartment(int rooms_x, int rooms_y, int room_w,
                              int room_h);
 
   private:
-    std::size_t idx(const Vec2i &p) const;
+    std::size_t
+    idx(const Vec2i &p) const
+    {
+        return static_cast<std::size_t>(p.y) *
+                   static_cast<std::size_t>(width_) +
+               static_cast<std::size_t>(p.x);
+    }
+
+    /** Throws std::out_of_range naming `what` unless `p` is in bounds. */
+    void requireInBounds(const Vec2i &p, const char *what) const;
 
     int width_;
     int height_;
     int room_count_ = 1;
+    std::uint64_t revision_ = 0;
     std::vector<std::uint8_t> walkable_;
     std::vector<std::int16_t> room_;
 };

@@ -174,7 +174,11 @@ EngineHandle::complete(const LlmRequest &request)
 // --------------------------------------------------------------- session
 
 EngineSession::EngineSession() = default;
-EngineSession::~EngineSession() = default;
+
+EngineSession::~EngineSession()
+{
+    accountToService();
+}
 
 EngineSession::EngineSession(LlmEngineService *service) : service_(service)
 {
@@ -296,11 +300,23 @@ EngineSession::flush()
         }
         log_.push_back(group);
     }
-    if (service_ != nullptr && (!pending_usage_.empty() || !open_.empty()))
-        service_->accountFlush(pending_usage_, open_);
+    unaccounted_usage_.insert(unaccounted_usage_.end(),
+                              pending_usage_.begin(), pending_usage_.end());
     pending_usage_.clear();
     open_.clear();
     ++phase_;
+}
+
+void
+EngineSession::accountToService()
+{
+    const std::span<const BatchRecord> batches =
+        std::span<const BatchRecord>(log_).subspan(accounted_log_);
+    if (service_ != nullptr &&
+        (!unaccounted_usage_.empty() || !batches.empty()))
+        service_->accountFlush(unaccounted_usage_, batches);
+    unaccounted_usage_.clear();
+    accounted_log_ = log_.size();
 }
 
 double
@@ -334,8 +350,10 @@ std::vector<BatchRecord>
 EngineSession::takeLog()
 {
     flush();
+    accountToService();
     std::vector<BatchRecord> out = std::move(log_);
     log_.clear();
+    accounted_log_ = 0;
     return out;
 }
 

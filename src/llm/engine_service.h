@@ -340,9 +340,19 @@ class EngineSession
     void note(BackendId backend, const ModelProfile &profile,
               const LlmResponse &resp);
 
-    /** Stage `resp`'s usage for the backend; drained to the service at
-     * the next flush so the hot path never takes the service mutex. */
+    /** Stage `resp`'s usage for the backend; closed into the
+     * unaccounted list at the next flush so the hot path never takes the
+     * service mutex. */
     void noteUsage(BackendId backend, const LlmResponse &resp);
+
+    /**
+     * Fold everything flushed since the last call into the service under
+     * one lock: takeLog() (the end of an episode) and the destructor call
+     * it, so concurrent episodes take the service mutex once each rather
+     * than at every phase. Staged usage and batches keep their flush
+     * order, so the service's sums are the ones per-flush folding gave.
+     */
+    void accountToService();
 
     LlmEngineService *service_ = nullptr;
     /** Episode trace log for flush-time instants; null (the default)
@@ -359,6 +369,11 @@ class EngineSession
     std::vector<BatchRecord> log_;
     /** Usage staged since the last flush, one slot per touched backend. */
     std::vector<std::pair<BackendId, LlmUsage>> pending_usage_;
+    /** Flushed usage slots not yet folded into the service, flush order. */
+    std::vector<std::pair<BackendId, LlmUsage>> unaccounted_usage_;
+    /** log_ entries [0, accounted_log_) are already folded into the
+     * service. */
+    std::size_t accounted_log_ = 0;
 };
 
 /**
@@ -371,11 +386,11 @@ class EngineSession
  * counters): every cross-thread touchpoint — backend registration,
  * usage aggregation, batch tallies, usage()/stats()/reset() — takes the
  * service mutex, so concurrent episodes on the EpisodeRunner pool
- * aggregate race-free by construction. Sessions stage usage locally and
- * drain one lock per coordinator phase (not per completion), keeping
- * the hot path contention-free. Everything stochastic stays in
- * episode-confined handles, so the service never serializes RNG state
- * and never perturbs a sampled stream. The contract is compiler-checked:
+ * aggregate race-free by construction. Sessions stage usage and batches
+ * locally and drain them under one lock per episode (not per phase or
+ * completion), keeping the hot path contention-free. Everything
+ * stochastic stays in episode-confined handles, so the service never
+ * serializes RNG state and never perturbs a sampled stream. The contract is compiler-checked:
  * `backends_` and `stats_` carry EBS_GUARDED_BY(mu_), so the CI Clang
  * `-Wthread-safety` build hard-errors on any drain or query path that
  * touches them without the lock.
@@ -445,8 +460,9 @@ class LlmEngineService
     friend class EngineHandle;
     friend class EngineSession;
 
-    /** Fold one session flush — staged usage plus the phase's assembled
-     * batches — into the shared tallies under a single lock. */
+    /** Fold a session's unaccounted flushes — staged usage plus the
+     * assembled batches, in flush order — into the shared tallies under a
+     * single lock. */
     void
     accountFlush(std::span<const std::pair<BackendId, LlmUsage>> usage,
                  std::span<const BatchRecord> batches) EBS_EXCLUDES(mu_);

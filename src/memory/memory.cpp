@@ -1,13 +1,36 @@
 #include "memory/memory.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace ebs::memory {
 
 MemoryModule::MemoryModule(Config config, sim::Rng rng)
     : config_(config), rng_(rng)
 {
+}
+
+void
+MemoryModule::addRef(env::ObjectId id)
+{
+    if (id < 0)
+        throw std::invalid_argument("MemoryModule: negative object id " +
+                                    std::to_string(id));
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= refs_.size())
+        refs_.resize(i + 1, 0);
+    if (refs_[i]++ == 0)
+        ++distinct_objects_;
+}
+
+void
+MemoryModule::dropRef(env::ObjectId id)
+{
+    if (--refs_[static_cast<std::size_t>(id)] == 0)
+        --distinct_objects_;
 }
 
 bool
@@ -49,6 +72,7 @@ MemoryModule::recordObservation(const env::Observation &obs)
         rec.inside = seen.inside;
         rec.openable = seen.openable;
         rec.open = seen.open;
+        addRef(rec.id);
         observations_.push_back(rec);
 
         // Dual memory: fixtures (stations, containers, targets) are
@@ -58,10 +82,12 @@ MemoryModule::recordObservation(const env::Observation &obs)
                                    [&](const ObservationRecord &r) {
                                        return r.id == seen.id;
                                    });
-            if (it == long_term_.end())
+            if (it == long_term_.end()) {
+                addRef(rec.id);
                 long_term_.push_back(rec);
-            else
+            } else {
                 *it = rec;
+            }
         }
     }
 }
@@ -73,6 +99,7 @@ MemoryModule::recordSharedBelief(int step, const ObservationRecord &record)
         return;
     ObservationRecord rec = record;
     rec.step = step;
+    addRef(rec.id);
     observations_.push_back(rec);
 }
 
@@ -90,6 +117,7 @@ MemoryModule::recordDialogue(const DialogueRecord &record)
     if (!config_.enabled)
         return;
     dialogue_.push_back(record);
+    dialogue_tokens_ += record.tokens;
 }
 
 void
@@ -98,13 +126,17 @@ MemoryModule::advanceStep(int step)
     current_step_ = std::max(current_step_, step);
     if (!config_.enabled || config_.capacity_steps <= 0)
         return;
-    auto prune = [&](auto &store) {
-        while (!store.empty() && !insideWindow(store.front().step))
-            store.pop_front();
-    };
-    prune(observations_);
-    prune(actions_);
-    prune(dialogue_);
+    while (!observations_.empty() &&
+           !insideWindow(observations_.front().step)) {
+        dropRef(observations_.front().id);
+        observations_.pop_front();
+    }
+    while (!actions_.empty() && !insideWindow(actions_.front().step))
+        actions_.pop_front();
+    while (!dialogue_.empty() && !insideWindow(dialogue_.front().step)) {
+        dialogue_tokens_ -= dialogue_.front().tokens;
+        dialogue_.pop_front();
+    }
     // Room visits outside the window are forgotten too (unless dual memory
     // keeps the layout in long-term storage).
     if (!config_.dual_memory) {
@@ -121,6 +153,11 @@ MemoryModule::invalidate(env::ObjectId id)
                   [&](const ObservationRecord &rec) { return rec.id == id; });
     std::erase_if(long_term_,
                   [&](const ObservationRecord &rec) { return rec.id == id; });
+    if (id >= 0 && static_cast<std::size_t>(id) < refs_.size() &&
+        refs_[static_cast<std::size_t>(id)] != 0) {
+        refs_[static_cast<std::size_t>(id)] = 0;
+        --distinct_objects_;
+    }
 }
 
 std::optional<ObservationRecord>
@@ -150,13 +187,17 @@ MemoryModule::knownObjects() const
     std::vector<ObservationRecord> out;
     if (!config_.enabled)
         return out;
-    std::set<env::ObjectId> seen;
-    for (auto it = observations_.rbegin(); it != observations_.rend(); ++it) {
-        if (seen.insert(it->id).second)
+    out.reserve(static_cast<std::size_t>(distinct_objects_));
+    std::vector<std::uint8_t> seen(refs_.size(), 0);
+    const auto first_sight = [&](env::ObjectId id) {
+        std::uint8_t &mark = seen[static_cast<std::size_t>(id)];
+        return std::exchange(mark, std::uint8_t{1}) == 0;
+    };
+    for (auto it = observations_.rbegin(); it != observations_.rend(); ++it)
+        if (first_sight(it->id))
             out.push_back(*it);
-    }
     for (const auto &rec : long_term_)
-        if (seen.insert(rec.id).second)
+        if (first_sight(rec.id))
             out.push_back(rec);
     return out;
 }
@@ -189,19 +230,17 @@ MemoryModule::retrieve(int current_step)
         return ctx;
     current_step_ = std::max(current_step_, current_step);
 
-    const auto known = knownObjects();
-    ctx.known_objects = static_cast<int>(known.size());
+    const int known = distinct_objects_;
+    ctx.known_objects = known;
     // ~9 tokens per object sighting ("apple 3 at (4,7) in kitchen, chopped")
-    ctx.observation_tokens = static_cast<int>(known.size()) * 9;
+    ctx.observation_tokens = known * 9;
     // Dual memory summarizes static fixtures much more compactly.
     if (config_.dual_memory)
         ctx.observation_tokens =
-            static_cast<int>(known.size()) * 5 +
-            static_cast<int>(long_term_.size()) * 2;
+            known * 5 + static_cast<int>(long_term_.size()) * 2;
 
     ctx.action_tokens = static_cast<int>(actions_.size()) * 7;
-    for (const auto &d : dialogue_)
-        ctx.dialogue_tokens += d.tokens;
+    ctx.dialogue_tokens = dialogue_tokens_;
 
     // Inconsistency model: past the onset, each extra live record adds a
     // small chance that retrieval surfaces a superseded belief.
@@ -214,11 +253,9 @@ MemoryModule::retrieve(int current_step)
             p *= 2.0; // text-embedding-only retrieval confuses more easily
         if (config_.dual_memory)
             p *= 0.3;
-        for (const auto &rec : known) {
-            (void)rec;
+        for (int k = 0; k < known; ++k)
             if (rng_.bernoulli(std::min(0.5, p)))
                 ++ctx.stale_beliefs;
-        }
     }
     return ctx;
 }
@@ -262,6 +299,9 @@ MemoryModule::clear()
     dialogue_.clear();
     room_visits_.clear();
     long_term_.clear();
+    refs_.clear();
+    distinct_objects_ = 0;
+    dialogue_tokens_ = 0;
     current_step_ = 0;
 }
 

@@ -124,7 +124,8 @@ class MemoryModule
     /** True when some surviving record mentions the object. */
     bool knowsObject(env::ObjectId id) const;
 
-    /** Latest belief per object (deduplicated). */
+    /** Latest belief per object (deduplicated): newest window record
+     * first, then long-term records of objects the window does not hold. */
     std::vector<ObservationRecord> knownObjects() const;
 
     /** Rooms visited within the window (plus long-term, if dual memory). */
@@ -134,10 +135,14 @@ class MemoryModule
     int lastVisit(int room) const;
 
     /**
-     * Perform a retrieval for prompt construction; sizes reflect what an
-     * LLM prompt would carry. Pass the ground-truth world to measure
-     * staleness; the inconsistency model may deliberately surface a
-     * superseded record (mutating nothing).
+     * Perform a retrieval for prompt construction at `current_step`; sizes
+     * reflect what an LLM prompt would carry. `stale_beliefs` comes from
+     * the inconsistency model, not from a comparison with ground truth:
+     * once the live records exceed `inconsistency_onset`, each known
+     * object draws one Bernoulli trial for surfacing a superseded belief.
+     * Only the RNG stream advances; no record changes. Costs O(1) plus
+     * those draws: object and token counts come from an index the writes
+     * keep up to date.
      */
     RetrievedContext retrieve(int current_step);
 
@@ -158,6 +163,10 @@ class MemoryModule
   private:
     bool insideWindow(int record_step) const;
 
+    /** Index bookkeeping: one more / one fewer record mentions `id`. */
+    void addRef(env::ObjectId id);
+    void dropRef(env::ObjectId id);
+
     Config config_;
     sim::Rng rng_;
     int current_step_ = 0;
@@ -168,6 +177,15 @@ class MemoryModule
     std::vector<std::pair<int, int>> room_visits_;
     /** long-term static beliefs (dual memory): station/container locations */
     std::vector<ObservationRecord> long_term_;
+
+    // Index over the stores, kept current by every write so reads need no
+    // scan. Object ids index World::objects_, so a flat vector suffices.
+    /** object id -> records in observations_ plus 1 if in long_term_ */
+    std::vector<int> refs_;
+    /** number of ids with a nonzero entry in refs_ */
+    int distinct_objects_ = 0;
+    /** sum of tokens over dialogue_ */
+    int dialogue_tokens_ = 0;
 };
 
 } // namespace ebs::memory

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <functional>
 
 namespace ebs::plan {
 
@@ -23,6 +23,39 @@ struct Node
         return f != o.f ? f > o.f : g < o.g;
     }
 };
+
+/**
+ * Per-thread search state reused across calls. A cell's g_score and parent
+ * are valid only while its stamp equals the current generation, so a new
+ * search invalidates every cell by bumping the generation instead of
+ * clearing the arrays. The open list keeps its capacity between calls.
+ */
+struct Workspace
+{
+    std::vector<std::uint32_t> stamp;
+    std::vector<std::int32_t> g_score;
+    std::vector<std::int32_t> parent;
+    std::vector<Node> open;
+    std::uint32_t generation = 0;
+
+    /** Start a search over `cells` cells: every cell reads as unvisited. */
+    void
+    begin(std::size_t cells)
+    {
+        if (stamp.size() < cells) {
+            stamp.resize(cells, 0);
+            g_score.resize(cells);
+            parent.resize(cells);
+        }
+        if (++generation == 0) {
+            std::fill(stamp.begin(), stamp.end(), 0);
+            generation = 1;
+        }
+        open.clear();
+    }
+};
+
+thread_local Workspace workspace;
 
 } // namespace
 
@@ -63,9 +96,12 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
 
     const int w = grid.width();
     const int h = grid.height();
-    const std::size_t n = static_cast<std::size_t>(w) * h;
-    std::vector<std::int32_t> g_score(n, -1);
-    std::vector<std::int32_t> parent(n, -1);
+    Workspace &ws = workspace;
+    ws.begin(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
+    const std::uint32_t gen = ws.generation;
+    std::uint32_t *const stamp = ws.stamp.data();
+    std::int32_t *const g_score = ws.g_score.data();
+    std::int32_t *const parent = ws.parent.data();
 
     auto index = [&](const env::Vec2i &p) { return p.y * w + p.x; };
     auto heuristic = [&](const env::Vec2i &p) {
@@ -73,40 +109,48 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
         return adjacent_ok ? std::max(0, d - 1) : d;
     };
 
-    std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
-    g_score[static_cast<std::size_t>(index(start))] = 0;
-    open.push({heuristic(start), 0, index(start)});
+    // A binary heap under std::greater, driven by push_heap/pop_heap
+    // exactly as std::priority_queue drives its container, so equal-key
+    // nodes pop in the same order.
+    std::vector<Node> &open = ws.open;
+    const std::greater<Node> later;
+    const int start_idx = index(start);
+    stamp[start_idx] = gen;
+    g_score[start_idx] = 0;
+    parent[start_idx] = -1;
+    open.push_back({heuristic(start), 0, start_idx});
 
+    static constexpr env::Vec2i kDirs[4] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
     while (!open.empty()) {
-        const Node cur = open.top();
-        open.pop();
+        std::pop_heap(open.begin(), open.end(), later);
+        const Node cur = open.back();
+        open.pop_back();
         const env::Vec2i p{cur.idx % w, cur.idx / w};
-        if (cur.g > g_score[static_cast<std::size_t>(cur.idx)])
+        if (cur.g > g_score[cur.idx])
             continue; // stale heap entry
         ++last_expanded;
 
         if (at_goal(p)) {
             GridPath path;
             path.cost = cur.g;
-            int idx = cur.idx;
-            while (idx >= 0) {
+            for (int idx = cur.idx; idx >= 0; idx = parent[idx])
                 path.cells.push_back({idx % w, idx / w});
-                idx = parent[static_cast<std::size_t>(idx)];
-            }
             std::reverse(path.cells.begin(), path.cells.end());
             return path;
         }
 
-        for (const auto &q : grid.neighbors(p)) {
-            if (is_blocked(q))
+        for (const auto &d : kDirs) {
+            const env::Vec2i q = p + d;
+            if (!grid.walkable(q) || is_blocked(q))
                 continue;
             const int qi = index(q);
             const int ng = cur.g + 1;
-            if (g_score[static_cast<std::size_t>(qi)] < 0 ||
-                ng < g_score[static_cast<std::size_t>(qi)]) {
-                g_score[static_cast<std::size_t>(qi)] = ng;
-                parent[static_cast<std::size_t>(qi)] = cur.idx;
-                open.push({ng + heuristic(q), ng, qi});
+            if (stamp[qi] != gen || ng < g_score[qi]) {
+                stamp[qi] = gen;
+                g_score[qi] = ng;
+                parent[qi] = cur.idx;
+                open.push_back({ng + heuristic(q), ng, qi});
+                std::push_heap(open.begin(), open.end(), later);
             }
         }
     }

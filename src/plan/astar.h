@@ -25,6 +25,11 @@ struct GridPath
  * (substituting the A-star controllers of CoELA / COHERENT / DaDu-E); its
  * compute cost is part of the execution-module latency story.
  *
+ * Search state lives in a per-thread workspace reused across calls, so a
+ * query allocates only the returned path (and any growth of `queried`).
+ * Among open nodes of equal f the deeper one (larger g) pops first, and
+ * neighbours are tried in +x, -x, +y, -y order.
+ *
  * @param adjacent_ok when true, reaching any cell adjacent (chebyshev <= 1)
  *                    to the goal counts as arrival — the common case for
  *                    interacting with objects that sit on furniture.

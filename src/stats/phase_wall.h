@@ -29,24 +29,15 @@ class PhaseWallClock
         long long episodes = 0;
     };
 
+    /** Count a finished episode and fold in its compute / execute phase
+     * totals, under one lock (the coordinator calls this once per
+     * episode, not per phase). */
     void
-    addCompute(double seconds) EBS_EXCLUDES(mu_)
+    addEpisode(double compute_s, double execute_s) EBS_EXCLUDES(mu_)
     {
         core::MutexLock lock(mu_);
-        compute_s_ += seconds;
-    }
-
-    void
-    addExecute(double seconds) EBS_EXCLUDES(mu_)
-    {
-        core::MutexLock lock(mu_);
-        execute_s_ += seconds;
-    }
-
-    void
-    addEpisode() EBS_EXCLUDES(mu_)
-    {
-        core::MutexLock lock(mu_);
+        compute_s_ += compute_s;
+        execute_s_ += execute_s;
         ++episodes_;
     }
 

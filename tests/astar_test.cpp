@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <queue>
+
 #include "env/grid.h"
 #include "plan/astar.h"
+#include "sim/rng.h"
 
 namespace ebs::plan {
 namespace {
@@ -152,6 +157,162 @@ TEST_P(AStarManhattanSweep, CostIsManhattan)
 INSTANTIATE_TEST_SUITE_P(Endpoints, AStarManhattanSweep,
                          ::testing::Combine(::testing::Values(0, 7, 12, 24),
                                             ::testing::Values(0, 9, 24)));
+
+// ---------------------------------------------------------------------------
+// Differential check against the straightforward implementation: fresh
+// g/parent arrays per call, a std::priority_queue, and GridMap::neighbors.
+// The production search must match it cell for cell, including the order
+// in which it consults `blocked` (speculation's occupancy read set).
+
+struct RefNode
+{
+    int f;
+    int g;
+    int idx;
+
+    bool
+    operator>(const RefNode &o) const
+    {
+        return f != o.f ? f > o.f : g < o.g;
+    }
+};
+
+std::optional<GridPath>
+referenceAStar(const GridMap &grid, const Vec2i &start, const Vec2i &goal,
+               bool adjacent_ok, const std::vector<Vec2i> *blocked,
+               std::vector<Vec2i> *queried, std::size_t &expanded)
+{
+    expanded = 0;
+    if (!grid.inBounds(start) || !grid.inBounds(goal))
+        return std::nullopt;
+    if (!grid.walkable(start))
+        return std::nullopt;
+
+    auto is_blocked = [&](const Vec2i &p) {
+        if (queried != nullptr)
+            queried->push_back(p);
+        if (blocked == nullptr)
+            return false;
+        for (const auto &b : *blocked)
+            if (b == p)
+                return true;
+        return false;
+    };
+    auto at_goal = [&](const Vec2i &p) {
+        return adjacent_ok ? env::chebyshev(p, goal) <= 1 : p == goal;
+    };
+    if (at_goal(start))
+        return GridPath{{start}, 0.0};
+
+    const int w = grid.width();
+    const std::size_t n = static_cast<std::size_t>(w) * grid.height();
+    std::vector<std::int32_t> g_score(n, -1);
+    std::vector<std::int32_t> parent(n, -1);
+    auto index = [&](const Vec2i &p) { return p.y * w + p.x; };
+    auto heuristic = [&](const Vec2i &p) {
+        const int d = env::manhattan(p, goal);
+        return adjacent_ok ? std::max(0, d - 1) : d;
+    };
+
+    std::priority_queue<RefNode, std::vector<RefNode>, std::greater<RefNode>>
+        open;
+    g_score[static_cast<std::size_t>(index(start))] = 0;
+    open.push({heuristic(start), 0, index(start)});
+    while (!open.empty()) {
+        const RefNode cur = open.top();
+        open.pop();
+        const Vec2i p{cur.idx % w, cur.idx / w};
+        if (cur.g > g_score[static_cast<std::size_t>(cur.idx)])
+            continue;
+        ++expanded;
+        if (at_goal(p)) {
+            GridPath path;
+            path.cost = cur.g;
+            for (int idx = cur.idx; idx >= 0;
+                 idx = parent[static_cast<std::size_t>(idx)])
+                path.cells.push_back({idx % w, idx / w});
+            std::reverse(path.cells.begin(), path.cells.end());
+            return path;
+        }
+        for (const auto &q : grid.neighbors(p)) {
+            if (is_blocked(q))
+                continue;
+            const auto qi = static_cast<std::size_t>(index(q));
+            const int ng = cur.g + 1;
+            if (g_score[qi] < 0 || ng < g_score[qi]) {
+                g_score[qi] = ng;
+                parent[qi] = cur.idx;
+                open.push({ng + heuristic(q), ng, static_cast<int>(qi)});
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+/** A random cell, occasionally just outside the grid. */
+Vec2i
+randomCell(sim::Rng &rng, const GridMap &g)
+{
+    return {rng.uniformInt(-1, g.width()), rng.uniformInt(-1, g.height())};
+}
+
+GridMap
+randomGrid(sim::Rng &rng)
+{
+    if (rng.bernoulli(0.3))
+        return GridMap::apartment(rng.uniformInt(1, 3), rng.uniformInt(1, 3),
+                                  rng.uniformInt(3, 7), rng.uniformInt(3, 7));
+    GridMap g(rng.uniformInt(1, 24), rng.uniformInt(1, 24));
+    const double density = rng.uniform(0.0, 0.4);
+    for (int y = 0; y < g.height(); ++y)
+        for (int x = 0; x < g.width(); ++x)
+            if (rng.bernoulli(density))
+                g.setWalkable({x, y}, false);
+    return g;
+}
+
+TEST(AStarDifferential, MatchesReferenceOnSeededRandomGrids)
+{
+    sim::Rng rng(20240613);
+    int found = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        // Grids of varying size on one thread also exercise the reused
+        // per-thread workspace growing and being re-stamped.
+        const GridMap g = randomGrid(rng);
+        const Vec2i start = randomCell(rng, g);
+        const Vec2i goal = randomCell(rng, g);
+        const bool adjacent_ok = rng.bernoulli(0.5);
+        std::vector<Vec2i> blocked;
+        const int n_blocked = rng.uniformInt(0, 6);
+        for (int k = 0; k < n_blocked; ++k)
+            blocked.push_back(randomCell(rng, g));
+        const bool use_blocked = rng.bernoulli(0.7);
+        const bool log_reads = rng.bernoulli(0.7);
+
+        std::vector<Vec2i> want_reads, got_reads;
+        std::size_t want_expanded = 0;
+        const auto want = referenceAStar(
+            g, start, goal, adjacent_ok, use_blocked ? &blocked : nullptr,
+            log_reads ? &want_reads : nullptr, want_expanded);
+        const auto got =
+            aStar(g, start, goal, adjacent_ok,
+                  use_blocked ? &blocked : nullptr,
+                  log_reads ? &got_reads : nullptr);
+
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        ASSERT_EQ(got.has_value(), want.has_value());
+        if (want.has_value()) {
+            ++found;
+            EXPECT_EQ(got->cells, want->cells);
+            EXPECT_EQ(got->cost, want->cost);
+        }
+        EXPECT_EQ(aStarLastExpanded(), want_expanded);
+        EXPECT_EQ(got_reads, want_reads);
+    }
+    // The sweep must cover both outcomes, not just trivial failures.
+    EXPECT_GT(found, 500);
+    EXPECT_LT(found, 3000);
+}
 
 } // namespace
 } // namespace ebs::plan

@@ -2,6 +2,7 @@
 
 #include <queue>
 #include <set>
+#include <stdexcept>
 
 #include "env/grid.h"
 
@@ -47,6 +48,65 @@ TEST(GridMap, NeighborsExcludeWallsAndBounds)
     // (1,0) is a wall; (0,1) remains; out-of-bounds excluded.
     ASSERT_EQ(n.size(), 1u);
     EXPECT_EQ(n[0], (Vec2i{0, 1}));
+}
+
+TEST(GridMap, RejectsNonPositiveSize)
+{
+    EXPECT_THROW(GridMap(0, 3), std::invalid_argument);
+    EXPECT_THROW(GridMap(4, 0), std::invalid_argument);
+    EXPECT_THROW(GridMap(-2, 5), std::invalid_argument);
+    EXPECT_THROW(GridMap(5, -1), std::invalid_argument);
+}
+
+TEST(GridMap, OutOfBoundsWritesThrowAndChangeNothing)
+{
+    GridMap g(4, 3);
+    for (const Vec2i p : {Vec2i{4, 0}, Vec2i{-1, 0}, Vec2i{0, 3},
+                          Vec2i{0, -1}, Vec2i{9, 9}}) {
+        EXPECT_THROW(g.setWalkable(p, false), std::out_of_range);
+        EXPECT_THROW(g.setRoom(p, 1), std::out_of_range);
+    }
+    EXPECT_EQ(g.revision(), 0u);
+    EXPECT_EQ(g.roomCount(), 1);
+    for (int y = 0; y < 3; ++y)
+        for (int x = 0; x < 4; ++x)
+            EXPECT_TRUE(g.walkable({x, y}));
+}
+
+TEST(GridMap, RoomIdMustFitSixteenBits)
+{
+    GridMap g(4, 3);
+    g.setRoom({0, 0}, 32767);
+    EXPECT_EQ(g.room({0, 0}), 32767);
+    EXPECT_EQ(g.roomCount(), 32768);
+    EXPECT_THROW(g.setRoom({1, 0}, 32768), std::out_of_range);
+    EXPECT_THROW(g.setRoom({1, 0}, -32769), std::out_of_range);
+    EXPECT_EQ(g.room({1, 0}), 0); // the rejected label was not truncated in
+}
+
+TEST(GridMap, RevisionCountsMutations)
+{
+    GridMap g(4, 3);
+    g.setWalkable({1, 1}, false);
+    g.setRoom({2, 2}, 1);
+    EXPECT_EQ(g.revision(), 2u);
+    const GridMap copy = g;
+    EXPECT_EQ(copy.revision(), 2u);
+}
+
+TEST(GridApartment, RejectsDegenerateLayouts)
+{
+    EXPECT_THROW(GridMap::apartment(0, 1, 3, 3), std::invalid_argument);
+    EXPECT_THROW(GridMap::apartment(1, 0, 3, 3), std::invalid_argument);
+    EXPECT_THROW(GridMap::apartment(1, 1, 2, 3), std::invalid_argument);
+    EXPECT_THROW(GridMap::apartment(1, 1, 3, 2), std::invalid_argument);
+    EXPECT_NO_THROW(GridMap::apartment(1, 1, 3, 3));
+}
+
+TEST(GridApartment, RejectsMoreRoomsThanLabelsHold)
+{
+    // 200 x 200 rooms need ids up to 39999, past the 16-bit label store.
+    EXPECT_THROW(GridMap::apartment(200, 200, 3, 3), std::out_of_range);
 }
 
 TEST(GridApartment, DimensionsAndRoomCount)

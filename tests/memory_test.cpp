@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <set>
+#include <stdexcept>
+#include <tuple>
+
 #include "memory/memory.h"
 
 namespace ebs::memory {
@@ -261,6 +267,297 @@ TEST_P(MemoryCapacitySweep, WindowBoundsRecords)
 
 INSTANTIATE_TEST_SUITE_P(Windows, MemoryCapacitySweep,
                          ::testing::Values(1, 5, 10, 30, 60));
+
+TEST(Memory, RejectsNegativeObjectIds)
+{
+    auto mem = makeMemory(10);
+    EXPECT_THROW(mem.recordObservation(makeObs(0, 1, {{-1, {1, 1}}})),
+                 std::invalid_argument);
+    ObservationRecord rec;
+    rec.id = env::kNoObject;
+    EXPECT_THROW(mem.recordSharedBelief(0, rec), std::invalid_argument);
+    EXPECT_EQ(mem.liveRecords(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: the indexed MemoryModule against a brute-force model
+// that rescans its stores on every read (a std::set of seen ids, a token
+// sum over the dialogue window). Both draw from equally seeded streams, so
+// the same number of inconsistency draws yields the same stale_beliefs.
+
+class BruteForceMemory
+{
+  public:
+    BruteForceMemory(MemoryModule::Config config, sim::Rng rng)
+        : config_(config), rng_(rng)
+    {
+    }
+
+    void
+    recordObservation(const env::Observation &obs)
+    {
+        if (!config_.enabled)
+            return;
+        current_step_ = std::max(current_step_, obs.step);
+        for (const auto &seen : obs.objects) {
+            ObservationRecord rec;
+            rec.step = obs.step;
+            rec.id = seen.id;
+            rec.cls = seen.cls;
+            rec.kind = seen.kind;
+            rec.pos = seen.pos;
+            rec.room = seen.room;
+            observations_.push_back(rec);
+            if (config_.dual_memory && seen.cls != env::ObjectClass::Item) {
+                auto it = std::find_if(
+                    long_term_.begin(), long_term_.end(),
+                    [&](const ObservationRecord &r) { return r.id == rec.id; });
+                if (it == long_term_.end())
+                    long_term_.push_back(rec);
+                else
+                    *it = rec;
+            }
+        }
+    }
+
+    void
+    recordSharedBelief(int step, ObservationRecord rec)
+    {
+        if (!config_.enabled)
+            return;
+        rec.step = step;
+        observations_.push_back(rec);
+    }
+
+    void
+    recordAction(int step)
+    {
+        if (config_.enabled)
+            action_steps_.push_back(step);
+    }
+
+    void
+    recordDialogue(const DialogueRecord &record)
+    {
+        if (config_.enabled)
+            dialogue_.push_back(record);
+    }
+
+    void
+    advanceStep(int step)
+    {
+        current_step_ = std::max(current_step_, step);
+        if (!config_.enabled || config_.capacity_steps <= 0)
+            return;
+        const auto outside = [&](int s) {
+            return s <= current_step_ - config_.capacity_steps;
+        };
+        while (!observations_.empty() && outside(observations_.front().step))
+            observations_.pop_front();
+        while (!action_steps_.empty() && outside(action_steps_.front()))
+            action_steps_.pop_front();
+        while (!dialogue_.empty() && outside(dialogue_.front().step))
+            dialogue_.pop_front();
+    }
+
+    void
+    invalidate(env::ObjectId id)
+    {
+        std::erase_if(observations_,
+                      [&](const ObservationRecord &r) { return r.id == id; });
+        std::erase_if(long_term_,
+                      [&](const ObservationRecord &r) { return r.id == id; });
+    }
+
+    void
+    clear()
+    {
+        observations_.clear();
+        action_steps_.clear();
+        dialogue_.clear();
+        long_term_.clear();
+        current_step_ = 0;
+    }
+
+    std::vector<ObservationRecord>
+    knownObjects() const
+    {
+        std::vector<ObservationRecord> out;
+        if (!config_.enabled)
+            return out;
+        std::set<env::ObjectId> seen;
+        for (auto it = observations_.rbegin(); it != observations_.rend();
+             ++it)
+            if (seen.insert(it->id).second)
+                out.push_back(*it);
+        for (const auto &rec : long_term_)
+            if (seen.insert(rec.id).second)
+                out.push_back(rec);
+        return out;
+    }
+
+    RetrievedContext
+    retrieve(int step)
+    {
+        RetrievedContext ctx;
+        if (!config_.enabled)
+            return ctx;
+        current_step_ = std::max(current_step_, step);
+        const auto known = knownObjects();
+        const int n = static_cast<int>(known.size());
+        ctx.known_objects = n;
+        ctx.observation_tokens =
+            config_.dual_memory
+                ? n * 5 + static_cast<int>(long_term_.size()) * 2
+                : n * 9;
+        ctx.action_tokens = static_cast<int>(action_steps_.size()) * 7;
+        for (const auto &d : dialogue_)
+            ctx.dialogue_tokens += d.tokens;
+        const std::size_t live = liveRecords();
+        if (live > static_cast<std::size_t>(config_.inconsistency_onset)) {
+            double p = (static_cast<double>(live) -
+                        config_.inconsistency_onset) *
+                       config_.inconsistency_rate;
+            if (!config_.multimodal_retrieval)
+                p *= 2.0;
+            if (config_.dual_memory)
+                p *= 0.3;
+            for (int k = 0; k < n; ++k)
+                if (rng_.bernoulli(std::min(0.5, p)))
+                    ++ctx.stale_beliefs;
+        }
+        return ctx;
+    }
+
+    std::size_t
+    liveRecords() const
+    {
+        return observations_.size() + action_steps_.size() +
+               dialogue_.size() + long_term_.size();
+    }
+
+  private:
+    MemoryModule::Config config_;
+    sim::Rng rng_;
+    int current_step_ = 0;
+    std::deque<ObservationRecord> observations_;
+    std::deque<int> action_steps_;
+    std::deque<DialogueRecord> dialogue_;
+    std::vector<ObservationRecord> long_term_;
+};
+
+class MemoryDifferential
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{
+};
+
+TEST_P(MemoryDifferential, RetrieveMatchesBruteForce)
+{
+    const auto [window, dual] = GetParam();
+    MemoryModule::Config cfg;
+    cfg.capacity_steps = window;
+    cfg.dual_memory = dual;
+    // A low onset and a high rate make the inconsistency draws frequent.
+    cfg.inconsistency_onset = 30;
+    cfg.inconsistency_rate = 5e-3;
+    const std::uint64_t seed = 977 + static_cast<std::uint64_t>(window);
+    MemoryModule mem(cfg, sim::Rng(seed));
+    BruteForceMemory ref(cfg, sim::Rng(seed));
+
+    sim::Rng ops(4242 + static_cast<std::uint64_t>(window) * 2 + dual);
+    const auto randomRecord = [&] {
+        ObservationRecord rec;
+        rec.id = ops.uniformInt(0, 39);
+        rec.cls = static_cast<env::ObjectClass>(ops.uniformInt(0, 4));
+        rec.kind = ops.uniformInt(0, 5);
+        rec.pos = {ops.uniformInt(0, 20), ops.uniformInt(0, 20)};
+        rec.room = ops.uniformInt(0, 5);
+        return rec;
+    };
+    // Retrieves from both at `step`, compares field by field, and returns
+    // the stale-belief count.
+    const auto expectSame = [&](int step) {
+        const RetrievedContext got = mem.retrieve(step);
+        const RetrievedContext want = ref.retrieve(step);
+        EXPECT_EQ(got.known_objects, want.known_objects);
+        EXPECT_EQ(got.observation_tokens, want.observation_tokens);
+        EXPECT_EQ(got.action_tokens, want.action_tokens);
+        EXPECT_EQ(got.dialogue_tokens, want.dialogue_tokens);
+        EXPECT_EQ(got.stale_beliefs, want.stale_beliefs);
+        const auto got_known = mem.knownObjects();
+        const auto want_known = ref.knownObjects();
+        EXPECT_EQ(got_known.size(), want_known.size());
+        for (std::size_t i = 0;
+             i < std::min(got_known.size(), want_known.size()); ++i) {
+            EXPECT_EQ(got_known[i].id, want_known[i].id);
+            EXPECT_EQ(got_known[i].step, want_known[i].step);
+            EXPECT_EQ(got_known[i].cls, want_known[i].cls);
+            EXPECT_EQ(got_known[i].pos, want_known[i].pos);
+        }
+        return want.stale_beliefs;
+    };
+
+    int step = 0;
+    int stale_total = 0;
+    for (int op = 0; op < 4000; ++op) {
+        const double r = ops.uniform();
+        if (r < 0.35) {
+            env::Observation obs;
+            obs.step = step;
+            obs.room = ops.uniformInt(0, 5);
+            const int seen = ops.uniformInt(0, 6);
+            for (int k = 0; k < seen; ++k) {
+                const ObservationRecord rec = randomRecord();
+                env::ObservedObject o;
+                o.id = rec.id;
+                o.cls = rec.cls;
+                o.kind = rec.kind;
+                o.pos = rec.pos;
+                o.room = obs.room;
+                obs.objects.push_back(o);
+            }
+            mem.recordObservation(obs);
+            ref.recordObservation(obs);
+        } else if (r < 0.45) {
+            const ObservationRecord rec = randomRecord();
+            mem.recordSharedBelief(step, rec);
+            ref.recordSharedBelief(step, rec);
+        } else if (r < 0.55) {
+            mem.recordAction(step, "subgoal", ops.bernoulli(0.5));
+            ref.recordAction(step);
+        } else if (r < 0.65) {
+            DialogueRecord d;
+            d.step = step;
+            d.tokens = ops.uniformInt(0, 120);
+            mem.recordDialogue(d);
+            ref.recordDialogue(d);
+        } else if (r < 0.80) {
+            step += ops.uniformInt(0, 4);
+            mem.advanceStep(step);
+            ref.advanceStep(step);
+        } else if (r < 0.84) {
+            const env::ObjectId id = ops.uniformInt(-1, 45);
+            mem.invalidate(id);
+            ref.invalidate(id);
+        } else if (r < 0.845) {
+            mem.clear();
+            ref.clear();
+            step = 0;
+        } else {
+            SCOPED_TRACE("op " + std::to_string(op));
+            stale_total += expectSame(step);
+            if (HasFailure())
+                return;
+        }
+        ASSERT_EQ(mem.liveRecords(), ref.liveRecords()) << "op " << op;
+    }
+    // The inconsistency path must actually have drawn.
+    EXPECT_GT(stale_total, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowsAndDualMemory, MemoryDifferential,
+    ::testing::Combine(::testing::Values(0, 40, 512), ::testing::Bool()));
 
 } // namespace
 } // namespace ebs::memory

@@ -171,14 +171,12 @@ TEST(PhaseWallClock, BucketsAndResetAreExact)
     // any episode the other tests run, so exact-equality asserts would
     // race. reset()/snapshot() bracket a measured section.
     PhaseWallClock clock;
-    clock.addCompute(0.25);
-    clock.addCompute(0.25);
-    clock.addExecute(0.5);
-    clock.addEpisode();
+    clock.addEpisode(0.25, 0.5);
+    clock.addEpisode(0.25, 0.0);
     const auto snap = clock.snapshot();
     EXPECT_EQ(snap.compute_s, 0.5); // 0.25 sums are exact in binary
     EXPECT_EQ(snap.execute_s, 0.5);
-    EXPECT_EQ(snap.episodes, 1);
+    EXPECT_EQ(snap.episodes, 2);
 
     clock.reset();
     const auto zeroed = clock.snapshot();
@@ -188,7 +186,7 @@ TEST(PhaseWallClock, BucketsAndResetAreExact)
 
     // The buckets keep accumulating after a reset (benches never reset;
     // tests may bracket repeatedly).
-    clock.addExecute(0.25);
+    clock.addEpisode(0.0, 0.25);
     EXPECT_EQ(clock.snapshot().execute_s, 0.25);
 }
 
@@ -204,11 +202,8 @@ TEST(PhaseWallClock, ConcurrentAddsNeverDropABucket)
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&clock] {
-            for (int i = 0; i < kAddsPerThread; ++i) {
-                clock.addCompute(0.25);
-                clock.addExecute(0.25);
-            }
-            clock.addEpisode();
+            for (int i = 0; i < kAddsPerThread; ++i)
+                clock.addEpisode(0.25, 0.25);
         });
     }
     for (auto &thread : threads)
@@ -216,7 +211,7 @@ TEST(PhaseWallClock, ConcurrentAddsNeverDropABucket)
     const auto snap = clock.snapshot();
     EXPECT_EQ(snap.compute_s, 0.25 * kThreads * kAddsPerThread);
     EXPECT_EQ(snap.execute_s, 0.25 * kThreads * kAddsPerThread);
-    EXPECT_EQ(snap.episodes, kThreads);
+    EXPECT_EQ(snap.episodes, kThreads * kAddsPerThread);
 }
 
 TEST(ModuleKind, NamesAndIteration)
