@@ -23,12 +23,12 @@ namespace ebs::bench {
 using runner::RunStats;
 
 /**
- * Smoke mode from the environment (EBS_BENCH_SMOKE=1, set for children
- * of `run_all --spawn --smoke`): run every suite with a single seed so
- * the whole fleet finishes in CI-friendly time. A falsy value ("", "0",
- * "false", "off", "no") leaves smoke mode disabled. The in-process
- * fleet never reads this — run_all passes smoke through SuiteContext;
- * only the standalone wrapper (suite_main.cpp) consults the env.
+ * Smoke mode from the environment (EBS_BENCH_SMOKE=1): run a standalone
+ * suite binary with a single seed per variant, as `run_all --smoke`
+ * does for the whole fleet. A falsy value ("", "0", "false", "off",
+ * "no") leaves smoke mode disabled. run_all never reads this — it
+ * passes smoke through SuiteContext; only the standalone wrapper
+ * (suite_main.cpp) consults the env.
  */
 inline bool
 smokeMode()

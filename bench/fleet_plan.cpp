@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -12,6 +13,11 @@ std::map<std::string, double>
 readTimelineDurations(const std::string &path)
 {
     std::map<std::string, double> durations;
+    // Only a regular file can hold a previous timeline: reading a device
+    // such as /dev/full or /dev/zero as one would never end.
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec))
+        return durations;
     std::ifstream in(path);
     if (!in)
         return durations;

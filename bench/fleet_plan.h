@@ -23,8 +23,9 @@ namespace ebs::bench {
  * submitting the longest suites first shaves the straggler tail versus
  * the default alphabetical order (a long suite started last overhangs
  * the makespan by almost its whole duration). The parser is a minimal
- * scan over the file run_all itself writes — on any mismatch it returns
- * an empty map and the schedule falls back to list order.
+ * scan over the file run_all itself writes — on any mismatch, or when
+ * `path` is not a regular file, it returns an empty map and the
+ * schedule falls back to list order.
  */
 std::map<std::string, double>
 readTimelineDurations(const std::string &path);

@@ -11,8 +11,7 @@ SuiteContext::SuiteContext(const Config &config)
       scheduler_(config.scheduler != nullptr
                      ? config.scheduler
                      : &sched::FleetScheduler::shared()),
-      tracer_(config.tracer != nullptr ? config.tracer : &own_tracer_),
-      runner_(config.jobs, scheduler_, tracer_)
+      runner_(config.jobs, scheduler_, &tracer_)
 {
 }
 
@@ -52,7 +51,7 @@ SuiteContext::stamped(runner::EpisodeJob job)
     if (job.phase_wall == &stats::PhaseWallClock::shared())
         job.phase_wall = &phase_wall_;
     if (job.tracer == nullptr)
-        job.tracer = tracer_;
+        job.tracer = &tracer_;
     return job;
 }
 
@@ -112,29 +111,33 @@ SuiteContext::run(const runner::EpisodeRunner &custom_runner,
 }
 
 void
+SuiteContext::emitPayload(std::string payload)
+{
+    this->printf("EBS_METRIC %s\n", payload.c_str());
+    metrics_.push_back(std::move(payload));
+}
+
+void
 SuiteContext::emitMetric(const std::string &bench_case, const RunStats &r)
 {
-    this->printf("EBS_METRIC {\"case\":\"%s\",\"episodes\":%d,"
-           "\"success_rate\":%s,\"avg_steps\":%s,"
-           "\"s_per_step\":%s,\"runtime_min\":%s,"
-           "\"llm_calls_per_episode\":%s,"
-           "\"tokens_per_episode\":%s}\n",
-           jsonEscape(bench_case).c_str(), r.episodes,
-           jsonNum(r.success_rate, 4).c_str(),
-           jsonNum(r.avg_steps, 2).c_str(),
-           jsonNum(r.avg_step_latency_s, 3).c_str(),
-           jsonNum(r.avg_runtime_min, 3).c_str(),
-           jsonNum(r.llmCallsPerEpisode(), 1).c_str(),
-           jsonNum(r.tokensPerEpisode(), 0).c_str());
+    emitPayload("{\"case\":\"" + jsonEscape(bench_case) +
+                "\",\"episodes\":" + std::to_string(r.episodes) +
+                ",\"success_rate\":" + jsonNum(r.success_rate, 4) +
+                ",\"avg_steps\":" + jsonNum(r.avg_steps, 2) +
+                ",\"s_per_step\":" + jsonNum(r.avg_step_latency_s, 3) +
+                ",\"runtime_min\":" + jsonNum(r.avg_runtime_min, 3) +
+                ",\"llm_calls_per_episode\":" +
+                jsonNum(r.llmCallsPerEpisode(), 1) +
+                ",\"tokens_per_episode\":" +
+                jsonNum(r.tokensPerEpisode(), 0) + "}");
 }
 
 void
 SuiteContext::emitScalarMetric(const std::string &bench_case,
                                const std::string &name, double value)
 {
-    this->printf("EBS_METRIC {\"case\":\"%s\",\"%s\":%s}\n",
-           jsonEscape(bench_case).c_str(), jsonEscape(name).c_str(),
-           jsonNum(value, 6).c_str());
+    emitPayload("{\"case\":\"" + jsonEscape(bench_case) + "\",\"" +
+                jsonEscape(name) + "\":" + jsonNum(value, 6) + "}");
 }
 
 double

@@ -14,21 +14,24 @@
 #include "stats/phase_wall.h"
 
 /**
- * The in-process suite registry (PR 10). Every bench is a library
- * function `int fn(SuiteContext &)` registered under its binary name;
- * `run_all` runs the whole registry as one dependency-free TaskGraph on
- * a single FleetScheduler pool, and a thin generated wrapper
- * (suite_main.cpp) keeps each `bench_*` target runnable standalone.
+ * The in-process suite registry. Every bench is a library function
+ * `int fn(SuiteContext &)` registered under its binary name; `run_all`
+ * runs the whole registry as one dependency-free TaskGraph on a single
+ * FleetScheduler pool, and a thin generated wrapper (suite_main.cpp)
+ * keeps each `bench_*` target runnable standalone.
  *
- * SuiteContext carries everything that used to be process-global when
- * suites were posix_spawn children:
+ * SuiteContext carries everything a suite would otherwise take from
+ * process-global state:
  *
  *  - the **output sinks**: all stdout emission (tables, EBS_METRIC
  *    lines) goes through ctx.printf()/ctx.vprintf() and all stderr
  *    diagnostics (host timings, EBS_PHASE_WALL) through ctx.eprintf(),
  *    so a suite's captured log is byte-identical whether it runs
- *    in-process or spawned (the `suite-io` lint rule bans direct
- *    printf/stdout writes under bench/ to keep it that way);
+ *    in-process or as its standalone binary (the `suite-io` lint rule
+ *    bans direct printf/stdout writes under bench/ to keep it that
+ *    way);
+ *  - the **metric payloads** it printed (metrics()), which run_all
+ *    folds into BENCH_results.json as they are;
  *  - **smoke mode** as a flag instead of the EBS_BENCH_SMOKE env read;
  *  - the **scheduler** episodes fan out on (one shared pool for the
  *    whole fleet in-process — stragglers absorb freed capacity);
@@ -51,16 +54,11 @@ class SuiteContext
         std::FILE *err = stderr; ///< stderr sink (diagnostics log)
         bool smoke = false;      ///< single-seed CI mode
         /** Suite arguments (argv[1..] standalone; empty under run_all,
-         * which never passes per-suite arguments — matching spawn). */
+         * which never passes per-suite arguments). */
         std::vector<std::string> args;
         /** Pool episodes fan out on; nullptr = FleetScheduler::shared().
          * run_all passes its own budget-sized pool. */
         sched::FleetScheduler *scheduler = nullptr;
-        /** Trace sink; nullptr = the context owns a private Tracer (the
-         * in-process default). The standalone wrapper passes
-         * &obs::Tracer::shared() so the EBS_TRACE_OUT atexit exporter
-         * keeps working for the `--spawn` legacy path. */
-        obs::Tracer *tracer = nullptr;
         /** In-flight episode cap of the context's runner; <= 0 selects
          * EpisodeRunner::defaultJobs() (EBS_JOBS). */
         int jobs = 0;
@@ -80,8 +78,8 @@ class SuiteContext
     /** Suite arguments (never includes the program name). */
     const std::vector<std::string> &args() const { return args_; }
 
-    /** The suite's stdout sink — every byte a spawned child would have
-     * written to stdout goes here. */
+    /** The suite's stdout sink — every byte the standalone binary
+     * writes to stdout goes here. */
     std::FILE *out() const { return out_; }
 
     /** The suite's stderr sink (host timings, EBS_PHASE_WALL). */
@@ -110,17 +108,22 @@ class SuiteContext
     /** The suite's episode runner: bound to scheduler() and tracer(). */
     const runner::EpisodeRunner &runner() const { return runner_; }
 
-    /** The suite's engine service — what LlmEngineService::shared() was
-     * to a spawned child. Variants/jobs left at the shared default are
-     * re-pointed here by the stamping runners below. */
+    /** The suite's engine service — what LlmEngineService::shared() is
+     * to a standalone binary. Variants/jobs left at the shared default
+     * are re-pointed here by the stamping runners below. */
     llm::LlmEngineService &engineService() { return service_; }
 
     /** The suite's phase-wall accumulator (see engineService()). */
     stats::PhaseWallClock &phaseWall() { return phase_wall_; }
 
-    /** The suite's trace sink; run_all merges its chromeLines() into
-     * BENCH_trace.json after the fleet completes. */
-    obs::Tracer &tracer() { return *tracer_; }
+    /** The suite's private trace sink; run_all merges its
+     * chromeLines() into BENCH_trace.json after the fleet completes. */
+    obs::Tracer &tracer() { return tracer_; }
+
+    /** The JSON payload of every EBS_METRIC line this suite printed, in
+     * emission order (run_all's paper_metrics). Emission happens on the
+     * suite's own thread, so the vector needs no lock. */
+    const std::vector<std::string> &metrics() const { return metrics_; }
 
     /**
      * Re-point a job's process-global defaults at this suite's
@@ -180,7 +183,7 @@ class SuiteContext
     /**
      * Report what this suite's engine service saw (call volume,
      * cross-agent batch occupancy). The printed label predates the
-     * in-process registry — a spawned child's "shared" service saw
+     * in-process registry — a standalone binary's "shared" service sees
      * exactly one suite's traffic, which is exactly what engineService()
      * sees here, so the wording (and the bytes) are unchanged.
      */
@@ -191,16 +194,20 @@ class SuiteContext
     void emitPhaseWallSummary();
 
   private:
+    /** Print `EBS_METRIC <payload>` to the stdout sink and keep the
+     * payload for metrics(). */
+    void emitPayload(std::string payload);
+
     std::FILE *out_;
     std::FILE *err_;
     bool smoke_;
     std::vector<std::string> args_;
     sched::FleetScheduler *scheduler_;
-    obs::Tracer own_tracer_;
-    obs::Tracer *tracer_;
+    obs::Tracer tracer_;
     llm::LlmEngineService service_;
     stats::PhaseWallClock phase_wall_;
     runner::EpisodeRunner runner_;
+    std::vector<std::string> metrics_;
 };
 
 /** A registered suite: its fn plus what --list-suites prints. The name
@@ -216,8 +223,7 @@ struct SuiteInfo
 /**
  * The process-wide suite registry. Registration happens from static
  * initializers (EBS_BENCH_SUITE), so link order decides insertion
- * order; suites() sorts by name, matching the sorted directory scan the
- * spawn driver used.
+ * order; suites() sorts by name so fleet listings and logs are stable.
  */
 class SuiteRegistry
 {

@@ -1,17 +1,16 @@
 #include <cstdio>
 
-#include "obs/trace.h"
 #include "suite.h"
 
 /**
  * Thin standalone wrapper: each `bench_*` CMake target compiles this TU
  * with -DEBS_SUITE_NAME="<suite name>" and links the suite library, so
- * every registered suite stays runnable as its own binary (and as a
- * `run_all --spawn` child). The wrapper rebuilds the process-global
- * environment a SuiteContext abstracts: real stdout/stderr as the
- * sinks, EBS_BENCH_SMOKE for smoke mode, FleetScheduler::shared() as
- * the pool, and obs::Tracer::shared() so the EBS_TRACE_OUT atexit
- * exporter keeps working for spawned children.
+ * every registered suite stays runnable (and debuggable) as its own
+ * binary. The wrapper binds the process-global environment a
+ * SuiteContext abstracts: real stdout/stderr as the sinks,
+ * EBS_BENCH_SMOKE for smoke mode and FleetScheduler::shared() as the
+ * pool. Its stdout is byte-identical to the suite's run_all log (the
+ * fleet equivalence test pins this).
  */
 int
 main(int argc, char **argv)
@@ -34,7 +33,6 @@ main(int argc, char **argv)
     // EBS_LINT_ALLOW(suite-io): the wrapper binds the real process streams
     config.err = stderr;
     config.smoke = ebs::bench::smokeMode();
-    config.tracer = &ebs::obs::Tracer::shared();
     for (int i = 1; i < argc; ++i)
         config.args.emplace_back(argv[i]);
 

@@ -11,9 +11,7 @@
 #include "llm/engine.h"
 #include "llm/engine_service.h"
 #include "memory/memory.h"
-#include "sim/clock.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
 #include "stats/latency_recorder.h"
 
 namespace ebs::core {
@@ -65,9 +63,7 @@ class Agent
      * @param config   module composition and calibration
      * @param environment shared environment (not owned)
      * @param rng      per-agent random stream
-     * @param clock    shared episode clock (not owned)
      * @param recorder shared latency recorder (not owned)
-     * @param trace    optional event trace (may be null)
      * @param llm_session episode's engine-service session (not owned, may
      *                 be null); the agent's LLM modules become handles on
      *                 it instead of private engines, keeping their RNG
@@ -76,8 +72,7 @@ class Agent
      *                 legacy per-agent-engine behavior bit for bit.
      */
     Agent(int id, AgentConfig config, env::Environment *environment,
-          sim::Rng rng, sim::SimClock *clock,
-          stats::LatencyRecorder *recorder, sim::EventTrace *trace,
+          sim::Rng rng, stats::LatencyRecorder *recorder,
           llm::EngineSession *llm_session = nullptr);
 
     int id() const { return id_; }
@@ -224,18 +219,15 @@ class Agent
     /** An impossible subgoal (hallucination sample). */
     env::Subgoal hallucinatedSubgoal();
 
-    void charge(stats::ModuleKind kind, double seconds,
-                const char *label = nullptr);
+    void charge(stats::ModuleKind kind, double seconds);
 
     int id_;
     AgentConfig config_;
     env::Environment *env_;
     sim::Rng rng_;
-    sim::SimClock *clock_;
     stats::LatencyRecorder *recorder_;
     stats::LatencyRecorder *episode_recorder_ = nullptr; ///< saved across
                                                          ///< buffered turns
-    sim::EventTrace *trace_;
 
     llm::EngineHandle planner_engine_;
     llm::EngineHandle comm_engine_;

@@ -7,6 +7,7 @@
 
 #include "env/spec.h"
 #include "obs/trace.h"
+#include "sim/clock.h"
 #include "stats/host_clock.h"
 #include "stats/phase_wall.h"
 
@@ -87,8 +88,8 @@ class Harness
         const int n = env_.world().agentCount();
         for (int i = 0; i < n; ++i) {
             agents_.push_back(std::make_unique<Agent>(
-                i, config, &env_, master_rng_.fork(100 + i), &clock_,
-                &recorder_, nullptr, &llm_session_));
+                i, config, &env_, master_rng_.fork(100 + i), &recorder_,
+                &llm_session_));
         }
         scratch_.resize(agents_.size());
         notes_.resize(agents_.size());

@@ -8,19 +8,23 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 #include "stats/metric_diff.h"
 
 /**
- * The in-process-vs-spawn transition gate: the smoke fleet must produce
- * byte-identical per-suite stdout and exactly equal paper metrics
- * whether suites run as registered library functions on the shared
- * scheduler pool (the default) or as posix_spawn children (--spawn, the
- * legacy oracle) — and identically at --jobs 1 and --jobs 8 in both
- * modes (the determinism contract).
+ * The fleet's determinism and standalone-equivalence gates, driving the
+ * built `run_all` and `bench_*` binaries on the smoke fleet:
  *
- * bench_micro_substrate is excluded from the *byte* comparison: its
+ *  - the in-process fleet at --jobs 1 and --jobs 8 produces
+ *    byte-identical per-suite stdout and exactly equal paper metrics
+ *    (zero tolerance);
+ *  - every standalone `bench_*` binary run with EBS_BENCH_SMOKE=1
+ *    prints exactly the bytes its suite's run_all log holds.
+ *
+ * bench_micro_substrate is excluded from both byte comparisons: its
  * stdout is Google Benchmark's console report of host timings, not
  * byte-stable across runs by design (it emits no EBS_METRIC lines, so
  * the metric comparison is unaffected). The `.err.log` diagnostics
@@ -44,12 +48,19 @@ benchBinary(const std::string &name)
     return fs::path(EBS_BENCH_BIN_DIR) / name;
 }
 
-FleetRun
-runFleet(const std::string &label, const std::string &flags)
+fs::path
+scratchDir(const std::string &label)
 {
     const fs::path dir = fs::path(testing::TempDir()) / ("fleet_" + label);
     fs::remove_all(dir);
     fs::create_directories(dir);
+    return dir;
+}
+
+FleetRun
+runFleet(const std::string &label, const std::string &flags)
+{
+    const fs::path dir = scratchDir(label);
     FleetRun run{dir / "results.json", dir / "logs"};
     std::ostringstream cmd;
     cmd << benchBinary("run_all") << " --smoke " << flags << " --out "
@@ -102,33 +113,85 @@ paperMetrics(const fs::path &json_path)
     return by_case;
 }
 
-TEST(FleetEquivalence, InProcessMatchesSpawnAtZeroTolerance)
+TEST(FleetEquivalence, WorkerCountNeverChangesLogsOrMetrics)
 {
     if (!fs::exists(benchBinary("run_all")))
         GTEST_SKIP() << "bench targets not built";
 
-    const FleetRun baseline = runFleet("spawn8", "--spawn --jobs 8");
-    const std::vector<std::pair<std::string, FleetRun>> others = {
-        {"in-process --jobs 8", runFleet("ip8", "--jobs 8")},
-        {"in-process --jobs 1", runFleet("ip1", "--jobs 1")},
-        {"--spawn --jobs 1", runFleet("spawn1", "--spawn --jobs 1")},
-    };
+    const FleetRun wide = runFleet("jobs8", "--jobs 8");
+    const FleetRun narrow = runFleet("jobs1", "--jobs 1");
 
-    const auto baseline_logs = suiteLogs(baseline);
-    ASSERT_GE(baseline_logs.size(), 10u)
-        << "smoke fleet unexpectedly small";
-    const auto baseline_metrics = paperMetrics(baseline.json);
-    ASSERT_GE(baseline_metrics.size(), 50u)
-        << "paper metrics unexpectedly sparse";
+    const auto logs = suiteLogs(wide);
+    ASSERT_GE(logs.size(), 10u) << "smoke fleet unexpectedly small";
+    EXPECT_EQ(suiteLogs(narrow), logs);
+    for (const auto &name : logs)
+        EXPECT_EQ(readFile(narrow.logs / name), readFile(wide.logs / name))
+            << "per-suite stdout diverged in " << name;
 
-    for (const auto &[label, run] : others) {
-        EXPECT_EQ(suiteLogs(run), baseline_logs) << label;
-        for (const auto &name : baseline_logs)
-            EXPECT_EQ(readFile(run.logs / name),
-                      readFile(baseline.logs / name))
-                << label << ": per-suite stdout diverged in " << name;
-        // Exact equality — the zero-tolerance paper-metric gate.
-        EXPECT_EQ(paperMetrics(run.json), baseline_metrics) << label;
+    const auto metrics = paperMetrics(wide.json);
+    ASSERT_GE(metrics.size(), 50u) << "paper metrics unexpectedly sparse";
+    // Exact equality — the zero-tolerance paper-metric gate.
+    EXPECT_EQ(paperMetrics(narrow.json), metrics);
+}
+
+TEST(FleetEquivalence, StandaloneBinariesMatchInProcessLogs)
+{
+    if (!fs::exists(benchBinary("run_all")))
+        GTEST_SKIP() << "bench targets not built";
+
+    const FleetRun fleet = runFleet("standalone_ref", "--jobs 8");
+    const auto logs = suiteLogs(fleet);
+    ASSERT_GE(logs.size(), 10u) << "smoke fleet unexpectedly small";
+
+    const fs::path dir = scratchDir("standalone");
+    for (const auto &log : logs) {
+        const std::string suite = log.substr(0, log.size() - 4);
+        const fs::path binary = benchBinary(suite);
+        ASSERT_TRUE(fs::exists(binary)) << binary;
+        const fs::path out = dir / log;
+        std::ostringstream cmd;
+        cmd << "EBS_BENCH_SMOKE=1 " << binary << " > " << out << " 2> "
+            << (dir / (suite + ".err.log"));
+        EXPECT_EQ(std::system(cmd.str().c_str()), 0) << cmd.str();
+        EXPECT_EQ(readFile(out), readFile(fleet.logs / log))
+            << "standalone stdout diverged from the run_all log of "
+            << suite;
+    }
+}
+
+TEST(RunAll, FailedOutputWriteExitsNonzero)
+{
+    if (!fs::exists(benchBinary("run_all")))
+        GTEST_SKIP() << "bench targets not built";
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+
+    // Each output in turn goes to /dev/full (every write fails with
+    // ENOSPC); the others go to a scratch directory.
+    for (const std::string flag : {"--out", "--timeline", "--trace-out"}) {
+        const fs::path dir = scratchDir("dev_full" + flag);
+        const auto target = [&](const std::string &option,
+                                const char *file) {
+            return option == flag ? fs::path("/dev/full") : dir / file;
+        };
+        std::ostringstream cmd;
+        cmd << "EBS_TRACE=1 " << benchBinary("run_all")
+            << " --smoke --suites table1 --logs " << (dir / "logs")
+            << " --out " << target("--out", "results.json")
+            << " --timeline " << target("--timeline", "timeline.json")
+            << " --trace-out " << target("--trace-out", "trace.json")
+            << " > " << (dir / "driver.out") << " 2> "
+            << (dir / "driver.err");
+        const int rc = std::system(cmd.str().c_str());
+        ASSERT_TRUE(WIFEXITED(rc)) << cmd.str();
+        EXPECT_NE(WEXITSTATUS(rc), 0) << cmd.str();
+        EXPECT_EQ(readFile(dir / "driver.out").find("wrote /dev/full"),
+                  std::string::npos)
+            << flag;
+        EXPECT_NE(readFile(dir / "driver.err")
+                      .find("run_all: cannot write /dev/full"),
+                  std::string::npos)
+            << flag;
     }
 }
 

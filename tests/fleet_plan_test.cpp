@@ -143,6 +143,14 @@ TEST(ReadTimeline, MissingFileAndCorruptEntriesDegrade)
     EXPECT_DOUBLE_EQ(durations.at("bench_c"), 2.0);
 }
 
+TEST(ReadTimeline, DeviceIsNotATimeline)
+{
+    // `--timeline /dev/full` names a write target whose read side is an
+    // endless stream of zeros; it must read as "no previous timeline".
+    for (const char *device : {"/dev/zero", "/dev/full", "/dev/null"})
+        EXPECT_TRUE(readTimelineDurations(device).empty()) << device;
+}
+
 TEST(ScheduleOrder, LongestFirstUnknownsLead)
 {
     const std::vector<std::string> names = {"a", "b", "c"};

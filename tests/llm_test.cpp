@@ -2,7 +2,6 @@
 
 #include "llm/engine.h"
 #include "llm/model_profile.h"
-#include "llm/prompt.h"
 #include "llm/token.h"
 #include "sim/rng.h"
 
@@ -87,37 +86,6 @@ TEST(ModelProfile, LoraTuningClosesQualityGap)
     EXPECT_DOUBLE_EQ(maxed.plan_quality, 1.0);
     const auto zero = ModelProfile::loraTuned(base, 0.0);
     EXPECT_DOUBLE_EQ(zero.plan_quality, base.plan_quality);
-}
-
-TEST(Prompt, TokensSumAcrossSections)
-{
-    Prompt p;
-    p.addTokens("memory", 100);
-    p.addTokens("dialogue", 50);
-    p.addText("task", std::string(40, 'a')); // 10 tokens by chars
-    EXPECT_EQ(p.tokens(), 160);
-    EXPECT_EQ(p.sectionTokens("memory"), 100);
-    EXPECT_EQ(p.sectionTokens("missing"), 0);
-}
-
-TEST(Prompt, RenderMentionsSections)
-{
-    Prompt p;
-    p.addText("task", "do the thing");
-    p.addTokens("memory", 12);
-    const std::string out = p.render();
-    EXPECT_NE(out.find("## task"), std::string::npos);
-    EXPECT_NE(out.find("do the thing"), std::string::npos);
-    EXPECT_NE(out.find("[12 tokens]"), std::string::npos);
-}
-
-TEST(Prompt, CompressionScalesTargetSectionsOnly)
-{
-    Prompt p;
-    p.addTokens("memory", 200);
-    p.addTokens("task", 100);
-    const Prompt c = p.compressed({"memory"}, 0.25);
-    EXPECT_EQ(c.tokens(), 50 + 100);
 }
 
 TEST(LlmEngine, LatencyCompositionRemote)

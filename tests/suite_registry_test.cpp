@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,9 +12,9 @@
 /**
  * Unit tests for the in-process suite registry and SuiteContext
  * (bench/suite.h): registration order vs. sorted listing, sink capture,
- * smoke-mode seed clamping, and the stamping that re-points
+ * smoke-mode seed clamping, the stamping that re-points
  * process-global service/clock/tracer defaults at the per-suite
- * instances.
+ * instances, and the metric payloads a context keeps for run_all.
  */
 
 namespace {
@@ -134,14 +135,8 @@ TEST(SuiteContext, StampingRepointsSharedDefaultsOnly)
     const auto kept = ctx.stamped(pinned);
     EXPECT_EQ(kept.engine_service, &private_service);
 
-    // Without a caller-provided tracer the context owns a private one
-    // (per-suite trace tracks); a provided tracer is used as-is.
-    SuiteContext own_tracer_ctx({});
-    EXPECT_NE(&own_tracer_ctx.tracer(), &ebs::obs::Tracer::shared());
-    SuiteContext::Config shared_config;
-    shared_config.tracer = &ebs::obs::Tracer::shared();
-    SuiteContext shared_tracer_ctx(shared_config);
-    EXPECT_EQ(&shared_tracer_ctx.tracer(), &ebs::obs::Tracer::shared());
+    // Every context owns its tracer: per-suite trace tracks.
+    EXPECT_NE(&ctx.tracer(), &ebs::obs::Tracer::shared());
 }
 
 TEST(SuiteContext, MetricEmissionFormat)
@@ -156,6 +151,39 @@ TEST(SuiteContext, MetricEmissionFormat)
               "EBS_METRIC {\"case\":\"demo/case\","
               "\"spec_exec_speedup\":1.250000}\n");
     std::fclose(out);
+}
+
+TEST(SuiteContext, MetricsMatchPrintedLinesInOrder)
+{
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    SuiteContext::Config config;
+    config.out = out;
+    SuiteContext ctx(config);
+    ebs::bench::RunStats stats;
+    stats.episodes = 3;
+    stats.success_rate = 2.0 / 3.0;
+    ctx.printf("table line\n");
+    ctx.emitMetric("grid/\"quoted\"", stats);
+    ctx.emitScalarMetric("grid/a", "spec_conflict_rate", 0.125);
+    ctx.printf("EBS_METRIC-like text is not a metric\n");
+    ctx.emitChargedMetrics("grid/b", 2.0, 1.5);
+
+    // The payloads of the EBS_METRIC lines in the captured sink, in
+    // order: the standalone text format must carry exactly the records
+    // run_all folds into BENCH_results.json.
+    std::vector<std::string> printed;
+    std::istringstream lines(drained(out));
+    const std::string prefix = "EBS_METRIC ";
+    for (std::string line; std::getline(lines, line);)
+        if (line.rfind(prefix, 0) == 0)
+            printed.push_back(line.substr(prefix.size()));
+    std::fclose(out);
+
+    ASSERT_EQ(printed.size(), 4u);
+    EXPECT_EQ(ctx.metrics(), printed);
+    EXPECT_EQ(printed[1], "{\"case\":\"grid/a\","
+                          "\"spec_conflict_rate\":0.125000}");
 }
 
 } // namespace

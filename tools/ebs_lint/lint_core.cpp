@@ -375,7 +375,7 @@ runTokenRules(const std::vector<Token> &toks, RuleSink &sink)
         // Direct process-stream I/O inside a benchmark suite bypasses
         // the SuiteContext sink, so the bytes escape the per-suite log
         // the in-process fleet captures (and byte-compares against the
-        // spawned oracle). Member calls (ctx.printf, stream.fputs) are
+        // standalone binary). Member calls (ctx.printf, stream.fputs) are
         // the sanctioned sinks and don't fire; std::printf does (its
         // previous token is '::').
         if (suite_scope) {
