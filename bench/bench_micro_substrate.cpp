@@ -117,16 +117,17 @@ BM_TokenCounter(benchmark::State &state)
 BENCHMARK(BM_TokenCounter)->Arg(256)->Arg(4096)->Arg(65536);
 
 void
-BM_LlmEngineComplete(benchmark::State &state)
+BM_SampleCompletion(benchmark::State &state)
 {
-    llm::LlmEngine engine(llm::ModelProfile::gpt4Api(), sim::Rng(9));
+    const auto profile = llm::ModelProfile::gpt4Api();
+    sim::Rng rng(9);
     llm::LlmRequest req;
     req.tokens_in = 1500;
     req.tokens_out_mean = 100;
     for (auto _ : state)
-        benchmark::DoNotOptimize(engine.complete(req));
+        benchmark::DoNotOptimize(llm::sampleCompletion(profile, req, rng));
 }
-BENCHMARK(BM_LlmEngineComplete);
+BENCHMARK(BM_SampleCompletion);
 
 void
 BM_EpisodeTransportEasy(benchmark::State &state)

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "envs/transport_env.h"
-#include "llm/engine.h"
+#include "llm/engine_service.h"
 #include "stats/table.h"
 #include "suite.h"
 
@@ -88,8 +88,15 @@ run(ebs::bench::SuiteContext &ctx)
     // ----- Batched inference (Rec. 1) microcomparison -----
     {
         ctx.printf("=== Batched inference (Rec. 1) ===\n\n");
-        llm::LlmEngine seq(llm::ModelProfile::gpt4Api(), sim::Rng(1));
-        llm::LlmEngine bat(llm::ModelProfile::gpt4Api(), sim::Rng(1));
+        // Two handles on identical streams: `seq`'s calls are flushed
+        // before `bat` issues the same requests, so `bat`'s k calls form
+        // one batch group and its BatchRecord prices them jointly.
+        llm::LlmEngineService service;
+        llm::EngineSession session(service);
+        llm::EngineHandle seq =
+            session.handle(llm::ModelProfile::gpt4Api(), sim::Rng(1));
+        llm::EngineHandle bat =
+            session.handle(llm::ModelProfile::gpt4Api(), sim::Rng(1));
         stats::Table table({"batch size", "sequential (s)", "batched (s)",
                             "speedup"});
         for (const int k : {2, 4, 8}) {
@@ -102,8 +109,10 @@ run(ebs::bench::SuiteContext &ctx)
             double sequential = 0.0;
             for (const auto &r : requests)
                 sequential += seq.complete(r).latency_s;
-            const double batched =
-                bat.completeBatch(requests).front().latency_s;
+            session.flush();
+            for (const auto &r : requests)
+                bat.complete(r);
+            const double batched = session.takeLog().back().batched_s;
             table.addRow({std::to_string(k),
                           stats::Table::num(sequential, 1),
                           stats::Table::num(batched, 1),

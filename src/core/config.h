@@ -133,9 +133,7 @@ struct PipelineOptions
      * individually sampled latencies. Responses are untouched (sampling
      * streams are identical either way), so only `sim_seconds` changes.
      * Batching is phase-granular: whatever one flush window assembles is
-     * priced as one batch per backend. Requires an engine-service
-     * session that assembles batches (the default); on the legacy
-     * serviceless path the switch is inert.
+     * priced as one batch per backend.
      */
     bool batch_llm_calls = false;
 

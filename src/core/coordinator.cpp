@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "env/spec.h"
@@ -14,6 +15,22 @@
 namespace ebs::core {
 
 namespace {
+
+/**
+ * The EpisodeOptions pointers every episode dereferences, checked before
+ * anything is built: a null one throws rather than crashing mid-episode.
+ */
+const EpisodeOptions &
+checked(const EpisodeOptions &options)
+{
+    if (options.engine_service == nullptr)
+        throw std::invalid_argument(
+            "EpisodeOptions::engine_service must not be null");
+    if (options.phase_wall == nullptr)
+        throw std::invalid_argument(
+            "EpisodeOptions::phase_wall must not be null");
+    return options;
+}
 
 /**
  * Shared episode machinery: agent construction, per-phase latency
@@ -58,27 +75,21 @@ class Harness
   public:
     Harness(env::Environment &environment, const AgentConfig &config,
             const EpisodeOptions &options)
-        : env_(environment), options_(options),
+        : env_(environment), options_(checked(options)),
           scheduler_(options.scheduler),
           master_rng_(options.seed),
           // The session is pinned (handles keep its address), so it is
           // built in place at its final location, before any agent mints
           // a handle on it.
-          llm_session_(options.engine_service != nullptr
-                           ? options.engine_service->openSession()
-                           : llm::EngineSession()),
+          llm_session_(*options.engine_service),
           // Rec. 1 end-to-end: the ablation charges real joint-batch
-          // latency to the clock, which needs a session that actually
-          // assembles batches. Without one (legacy path, or a service
-          // built with batching=false) the switch is inert — there is
-          // nothing to batch, so every call stays at its sequential cost.
-          // A queueing session (finite-capacity backend serving,
-          // llm/backend_queue.h) always charges: the closed loop *is*
-          // the scheduled completion — joint batch time plus queueing +
-          // admission delay — landing on the clock at every flush.
+          // latency to the clock. A queueing session (finite-capacity
+          // backend serving, llm/backend_queue.h) always charges: the
+          // closed loop *is* the scheduled completion — joint batch time
+          // plus queueing + admission delay — landing on the clock at
+          // every flush.
           charged_batching_(llm_session_.queueing() ||
-                            (options.pipeline.batch_llm_calls &&
-                             llm_session_.batching()))
+                            options.pipeline.batch_llm_calls)
     {
         // Dual-clock tracing: a null trace (the EBS_TRACE=0 default)
         // keeps every emission point below a single pointer check.
@@ -89,7 +100,7 @@ class Harness
         for (int i = 0; i < n; ++i) {
             agents_.push_back(std::make_unique<Agent>(
                 i, config, &env_, master_rng_.fork(100 + i), &recorder_,
-                &llm_session_));
+                llm_session_));
         }
         scratch_.resize(agents_.size());
         notes_.resize(agents_.size());
@@ -112,9 +123,9 @@ class Harness
     }
 
     /**
-     * Mint an engine handle on the episode's service session (a private
-     * engine when the episode runs serviceless) — for the central planner
-     * and cluster leads, whose calls then join the session's batches.
+     * Mint an engine handle on the episode's service session — for the
+     * central planner and cluster leads, whose calls then join the
+     * session's batches.
      */
     llm::EngineHandle
     makeHandle(const llm::ModelProfile &profile, sim::Rng stream)
@@ -725,8 +736,8 @@ class Harness
     sim::SimClock clock_;
     stats::LatencyRecorder recorder_;
     llm::EngineSession llm_session_; ///< must outlive agents_ (handles)
-    /** True when `batch_llm_calls` charges real joint-batch latency to
-     * the clock: the ablation is on AND the session assembles batches. */
+    /** True when the clock is charged real joint-batch latency: the
+     * `batch_llm_calls` ablation is on, or the session queues. */
     const bool charged_batching_;
     std::vector<std::unique_ptr<Agent>> agents_;
     /** Per-agent phase buffers (reused each computePhase). */

@@ -24,10 +24,11 @@ struct EpisodeOptions
     PipelineOptions pipeline;    ///< optimization ablation switches
 
     /**
-     * LLM engine service every agent module routes through; defaults to
-     * the process-wide shared service. nullptr selects the legacy
-     * per-agent-engine path (bit-identical results either way — the
-     * service only adds fleet-wide accounting and batch assembly).
+     * LLM engine service every agent module routes through (not owned);
+     * defaults to the process-wide shared service. Results are
+     * bit-identical whichever service is used — it only adds fleet-wide
+     * accounting and batch assembly. Never null: an episode given a
+     * null service throws std::invalid_argument before it starts.
      */
     llm::LlmEngineService *engine_service = &llm::LlmEngineService::shared();
 
@@ -49,7 +50,8 @@ struct EpisodeOptions
      * phase times and episode count into (not owned). Defaults to the
      * process-wide clock; in-process bench suites substitute a per-suite
      * instance so run_all's phase-wall summary stays attributable per
-     * suite after the spawn-per-suite model was retired. Never null.
+     * suite. Never null: an episode given a null clock throws
+     * std::invalid_argument before it starts.
      */
     stats::PhaseWallClock *phase_wall = &stats::PhaseWallClock::shared();
 

@@ -149,8 +149,8 @@ class BackendQueue
 /**
  * The per-backend queue fleet one serving simulation sees: a
  * BackendQueue per touched backend, created on first sight with the
- * profile-derived default config (overridable per QueuePolicy in
- * ServiceConfig). Deterministically iterable — keyed by stable
+ * profile-derived default config (overridable per the service's
+ * QueuePolicy). Deterministically iterable — keyed by stable
  * BackendId — and single-threaded like its member queues.
  */
 class BackendQueueModel

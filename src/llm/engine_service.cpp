@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "llm/backend_queue.h"
@@ -142,12 +143,11 @@ BatchStats::merge(const BatchStats &other)
 
 // ---------------------------------------------------------------- handle
 
-EngineHandle::EngineHandle(EngineSession *session, ModelProfile profile,
+EngineHandle::EngineHandle(EngineSession &session, ModelProfile profile,
                            sim::Rng rng)
-    : session_(session), profile_(std::move(profile)), rng_(rng)
+    : session_(&session), backend_(session.service_.backendFor(profile)),
+      profile_(std::move(profile)), rng_(rng)
 {
-    if (session_ != nullptr && session_->attached())
-        backend_ = session_->service()->backendFor(profile_);
 }
 
 LlmResponse
@@ -156,50 +156,38 @@ EngineHandle::complete(const LlmRequest &request)
     const LlmResponse resp = sampleCompletion(profile_, request, rng_);
     usage_.add(resp);
 
-    if (session_ != nullptr && session_->attached()) {
-        if (deferred_ != nullptr) {
-            // Parallel phase turn: the session is single-threaded and its
-            // accounting is order-sensitive, so stage the note for the
-            // agent-index-ordered replay at the phase's commit step.
-            deferred_->entries.push_back({backend_, &profile_, resp});
-        } else {
-            session_->noteUsage(backend_, resp);
-            if (session_->batching())
-                session_->note(backend_, profile_, resp);
-        }
+    if (deferred_ != nullptr) {
+        // Parallel phase turn: the session is single-threaded and its
+        // accounting is order-sensitive, so stage the note for the
+        // agent-index-ordered replay at the phase's commit step.
+        deferred_->entries.push_back({backend_, &profile_, resp});
+    } else {
+        session_->noteUsage(backend_, resp);
+        session_->note(backend_, profile_, resp);
     }
     return resp;
 }
 
 // --------------------------------------------------------------- session
 
-EngineSession::EngineSession() = default;
-
 EngineSession::~EngineSession()
 {
     accountToService();
 }
 
-EngineSession::EngineSession(LlmEngineService *service) : service_(service)
+EngineSession::EngineSession(LlmEngineService &service) : service_(service)
 {
-    if (service_ != nullptr && service_->config().queue.enabled) {
-        const QueuePolicy &policy = service_->config().queue;
+    const QueuePolicy &policy = service_.queue_policy_;
+    if (policy.enabled)
         queue_ = std::make_unique<BackendQueueModel>(
             policy.slots_override, policy.kv_budget_override,
             policy.iteration_s);
-    }
 }
 
 EngineHandle
 EngineSession::handle(const ModelProfile &profile, sim::Rng stream)
 {
-    return EngineHandle(this, profile, stream);
-}
-
-bool
-EngineSession::batching() const
-{
-    return service_ != nullptr && service_->config().batching;
+    return EngineHandle(*this, profile, stream);
 }
 
 void
@@ -216,17 +204,18 @@ EngineSession::note(BackendId backend, const ModelProfile &profile,
 {
     BatchRecord *group = nullptr;
     for (auto &open : open_)
-        if (open.backend == backend)
-            group = &open;
+        if (open.record.backend == backend)
+            group = &open.record;
     if (group == nullptr) {
-        BatchRecord fresh;
-        fresh.step = step_;
-        fresh.phase = phase_;
-        fresh.backend = backend;
-        fresh.remote = profile.remote;
-        fresh.rtt_mean_s = profile.api_rtt_mean_s;
+        OpenGroup fresh;
+        fresh.record.step = step_;
+        fresh.record.phase = phase_;
+        fresh.record.backend = backend;
+        fresh.record.remote = profile.remote;
+        fresh.record.rtt_mean_s = profile.api_rtt_mean_s;
+        fresh.profile = &profile;
         open_.push_back(fresh);
-        group = &open_.back();
+        group = &open_.back().record;
     }
     ++group->requests;
     group->prefill_s += resp.tokens_in / profile.prefill_tok_per_s;
@@ -256,7 +245,7 @@ EngineSession::noteUsage(BackendId backend, const LlmResponse &resp)
 void
 EngineSession::flush()
 {
-    for (auto &group : open_) {
+    for (auto &[group, profile] : open_) {
         group.batched_s = jointCompletionTime(group);
         group.sim_time_s = now_s_;
         QueueAdmission admission;
@@ -274,10 +263,7 @@ EngineSession::flush()
         }
         pending_charge_s_ += group.batched_s + group.queue_delay_s;
         if (trace_ != nullptr) {
-            const std::string backend = service_ != nullptr
-                                            ? service_->backendName(
-                                                  group.backend)
-                                            : std::string("detached");
+            const std::string &backend = profile->name;
             trace_->instant(
                 "llm", "batch " + backend, now_s_, -1,
                 {{"requests", static_cast<double>(group.requests)},
@@ -312,9 +298,8 @@ EngineSession::accountToService()
 {
     const std::span<const BatchRecord> batches =
         std::span<const BatchRecord>(log_).subspan(accounted_log_);
-    if (service_ != nullptr &&
-        (!unaccounted_usage_.empty() || !batches.empty()))
-        service_->accountFlush(unaccounted_usage_, batches);
+    if (!unaccounted_usage_.empty() || !batches.empty())
+        service_.accountFlush(unaccounted_usage_, batches);
     unaccounted_usage_.clear();
     accounted_log_ = log_.size();
 }
@@ -324,7 +309,7 @@ EngineSession::phaseBaseline() const
 {
     double baseline = 0.0;
     for (const auto &group : open_)
-        baseline += group.baseline_s;
+        baseline += group.record.baseline_s;
     return baseline;
 }
 
@@ -341,8 +326,7 @@ EngineSession::replay(const DeferredNotes &notes)
 {
     for (const auto &entry : notes.entries) {
         noteUsage(entry.backend, entry.resp);
-        if (batching())
-            note(entry.backend, *entry.profile, entry.resp);
+        note(entry.backend, *entry.profile, entry.resp);
     }
 }
 
@@ -359,19 +343,12 @@ EngineSession::takeLog()
 
 // --------------------------------------------------------------- service
 
-LlmEngineService::LlmEngineService(ServiceConfig config) : config_(config)
+LlmEngineService::LlmEngineService(QueuePolicy queue)
+    : queue_policy_(queue)
 {
-    if (config_.queue.enabled) {
-        // The queue serves assembled batch groups; without batching
-        // there is nothing to submit and the "closed loop" would be
-        // silently open. Reject the inconsistent combination loudly.
-        if (!config_.batching)
-            throw std::invalid_argument(
-                "ServiceConfig: queue.enabled requires batching");
-        if (!(config_.queue.iteration_s > 0.0))
-            throw std::invalid_argument(
-                "ServiceConfig: queue.iteration_s must be > 0");
-    }
+    if (queue_policy_.enabled && !(queue_policy_.iteration_s > 0.0))
+        throw std::invalid_argument(
+            "QueuePolicy: iteration_s must be > 0");
 }
 
 BackendId
@@ -381,7 +358,6 @@ LlmEngineService::backendFor(const ModelProfile &profile)
     core::MutexLock lock(mu_);
     auto [it, inserted] = backends_.try_emplace(id);
     if (inserted) {
-        it->second.name = profile.name;
         it->second.profile = profile;
     } else {
         assert(sameBackend(it->second.profile, profile) &&
@@ -397,15 +373,6 @@ LlmEngineService::backendCount() const
     return static_cast<int>(backends_.size());
 }
 
-std::string
-LlmEngineService::backendName(BackendId backend) const
-{
-    core::MutexLock lock(mu_);
-    const auto it = backends_.find(backend);
-    assert(it != backends_.end());
-    return it != backends_.end() ? it->second.name : std::string();
-}
-
 ModelProfile
 LlmEngineService::backendProfile(BackendId backend) const
 {
@@ -413,15 +380,6 @@ LlmEngineService::backendProfile(BackendId backend) const
     const auto it = backends_.find(backend);
     assert(it != backends_.end());
     return it != backends_.end() ? it->second.profile : ModelProfile{};
-}
-
-LlmUsage
-LlmEngineService::backendUsage(BackendId backend) const
-{
-    core::MutexLock lock(mu_);
-    const auto it = backends_.find(backend);
-    assert(it != backends_.end());
-    return it != backends_.end() ? it->second.usage : LlmUsage{};
 }
 
 LlmUsage

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,10 +38,10 @@ using BackendId = std::uint64_t;
 /**
  * Closed-loop serving switches of an LlmEngineService: when enabled,
  * every session simulates finite-capacity backends (see
- * llm/backend_queue.h) and charges queueing + admission delay back to
- * its episode's clock through the takePendingCharge path. Requires
- * `ServiceConfig::batching` (the queue serves the assembled batch
- * groups); the service constructor rejects the inconsistent combination.
+ * llm/backend_queue.h), submits each assembled batch group to its
+ * backend's queue, and charges queueing + admission delay back to its
+ * episode's clock through the takePendingCharge path. Off by default
+ * (open loop: infinite-capacity backends, no queueing delay).
  */
 struct QueuePolicy
 {
@@ -54,24 +53,6 @@ struct QueuePolicy
     /** Iteration boundary granularity of continuous-batching admission
      * (must be > 0 when enabled). */
     double iteration_s = 0.25;
-};
-
-/** Build-time switches of an LlmEngineService. */
-struct ServiceConfig
-{
-    /**
-     * Assemble the completions issued between two session flush points
-     * (one coordinator phase: the same pipeline stage across every agent
-     * of a step) into per-backend batches and track the modeled joint
-     * completion time. Batching never changes any sampled response — it
-     * only produces BatchRecords — so toggling it cannot perturb a
-     * simulated result.
-     */
-    bool batching = true;
-
-    /** Finite-capacity backend serving model (off by default: the
-     * open-loop paths stay bit-identical to the pre-queue behavior). */
-    QueuePolicy queue;
 };
 
 /**
@@ -169,28 +150,20 @@ struct DeferredNotes
 };
 
 /**
- * A per-agent-module view onto the engine service: the drop-in
- * replacement for a privately owned LlmEngine.
+ * A per-agent-module port onto the engine service, minted by
+ * EngineSession::handle(): the only way to sample a completion.
  *
- * The handle keeps the module's RNG stream and usage counters (so
- * per-agent accounting and determinism are untouched) and routes every
- * completion through its session: the shared backend accumulates
- * race-free fleet-wide usage, and — when batching is on — the completion
- * joins the session's currently open batch group. Sampling uses
- * sampleCompletion(), the exact function behind LlmEngine::complete(),
- * so a handle's response stream is bit-identical to the legacy per-agent
- * engine it replaces.
- *
- * A handle constructed with a null session (or a detached session) is
- * exactly a private LlmEngine: it samples and accounts locally. Handles
- * are episode-confined and single-threaded, like the agents that own
- * them.
+ * The handle keeps the module's RNG stream and usage counters and routes
+ * every completion through its session: the shared backend accumulates
+ * race-free fleet-wide usage, and the completion joins the session's
+ * currently open batch group. Sampling is sampleCompletion() on the
+ * handle's own Rng, so its response stream never depends on how the
+ * calls are batched. Handles are episode-confined and single-threaded,
+ * like the agents that own them, and must not outlive their session.
  */
 class EngineHandle
 {
   public:
-    EngineHandle(EngineSession *session, ModelProfile profile, sim::Rng rng);
-
     /** Run one completion (see class comment for routing). */
     LlmResponse complete(const LlmRequest &request);
 
@@ -202,19 +175,15 @@ class EngineHandle
      */
     void defer(DeferredNotes *notes) { deferred_ = notes; }
 
-    const ModelProfile &profile() const { return profile_; }
     const LlmUsage &usage() const { return usage_; }
-    void resetUsage() { usage_ = LlmUsage{}; }
-
-    /** Deterministic latency mean for a request (no sampling). */
-    double expectedLatency(const LlmRequest &request) const
-    {
-        return expectedCompletionLatency(profile_, request);
-    }
 
   private:
-    EngineSession *session_ = nullptr;
-    BackendId backend_ = 0; ///< meaningful only when attached
+    friend class EngineSession;
+
+    EngineHandle(EngineSession &session, ModelProfile profile, sim::Rng rng);
+
+    EngineSession *session_; ///< never null (assignable handles)
+    BackendId backend_ = 0;
     DeferredNotes *deferred_ = nullptr; ///< set only inside parallel turns
     ModelProfile profile_;
     sim::Rng rng_;
@@ -235,14 +204,13 @@ class EngineHandle
  * episodes run concurrently, which is what makes the post-join
  * cross-episode fold (foldCrossEpisodeBatches) reproducible at any
  * EBS_JOBS.
- *
- * A default-constructed session is detached: handles behave like private
- * engines and the log stays empty.
  */
 class EngineSession
 {
   public:
-    EngineSession();
+    /** Open an episode-local session on `service` (cheap; one per
+     * episode). The service must outlive the session. */
+    explicit EngineSession(LlmEngineService &service);
     ~EngineSession();
 
     /**
@@ -258,12 +226,6 @@ class EngineSession
     /** Mint a handle for one agent module (see EngineHandle). */
     EngineHandle handle(const ModelProfile &profile, sim::Rng stream);
 
-    /** True when completions route through a service. */
-    bool attached() const { return service_ != nullptr; }
-
-    /** True when this session assembles batches. */
-    bool batching() const;
-
     /**
      * True when this session simulates finite-capacity backends: each
      * flushed batch group is submitted to its backend's discrete-event
@@ -274,9 +236,6 @@ class EngineSession
      * LLM latency and pays the queue-scheduled completion instead.
      */
     bool queueing() const { return queue_ != nullptr; }
-
-    /** The session's backend queues (nullptr when not queueing). */
-    const BackendQueueModel *queueModel() const { return queue_.get(); }
 
     /** Mark the start of a global episode step (closes open groups). */
     void beginStep(int step);
@@ -292,8 +251,7 @@ class EngineSession
     /**
      * Sampled sequential latency of every completion noted since the
      * last flush (the summed `baseline_s` of the open groups): the
-     * LLM-attributable share of the current phase. 0 for a detached or
-     * non-batching session.
+     * LLM-attributable share of the current phase.
      */
     double phaseBaseline() const;
 
@@ -322,19 +280,21 @@ class EngineSession
      */
     void traceTo(obs::EpisodeTraceLog *trace) { trace_ = trace; }
 
-    /** Batches assembled so far (flushed groups only). */
-    const std::vector<BatchRecord> &log() const { return log_; }
-
     /** Flush and surrender the batch log (for EpisodeResult). */
     std::vector<BatchRecord> takeLog();
 
-    LlmEngineService *service() const { return service_; }
-
   private:
     friend class EngineHandle;
-    friend class LlmEngineService;
 
-    explicit EngineSession(LlmEngineService *service);
+    /** A batch group being assembled, with the profile it was opened
+     * with (a handle's, stable until the group is flushed): flush-time
+     * trace instants name the backend from it, so tracing never takes
+     * the service lock. */
+    struct OpenGroup
+    {
+        BatchRecord record;
+        const ModelProfile *profile = nullptr;
+    };
 
     /** Join `resp` to the open batch group of `backend`. */
     void note(BackendId backend, const ModelProfile &profile,
@@ -354,7 +314,7 @@ class EngineSession
      */
     void accountToService();
 
-    LlmEngineService *service_ = nullptr;
+    LlmEngineService &service_;
     /** Episode trace log for flush-time instants; null (the default)
      * when tracing is off. Not owned. */
     obs::EpisodeTraceLog *trace_ = nullptr;
@@ -365,7 +325,7 @@ class EngineSession
     int phase_ = 0;
     double now_s_ = 0.0;           ///< arrival stamp for the next flush
     double pending_charge_s_ = 0.0; ///< flushed batched_s not yet claimed
-    std::vector<BatchRecord> open_; ///< one open group per touched backend
+    std::vector<OpenGroup> open_; ///< one open group per touched backend
     std::vector<BatchRecord> log_;
     /** Usage staged since the last flush, one slot per touched backend. */
     std::vector<std::pair<BackendId, LlmUsage>> pending_usage_;
@@ -382,34 +342,33 @@ class EngineSession
  * API endpoint and each local-GPU model are single shared resources, not
  * per-agent copies — plus the batching machinery above.
  *
- * Thread-safety contract (the fix for LlmEngine's unsynchronized usage
- * counters): every cross-thread touchpoint — backend registration,
- * usage aggregation, batch tallies, usage()/stats()/reset() — takes the
- * service mutex, so concurrent episodes on the EpisodeRunner pool
- * aggregate race-free by construction. Sessions stage usage and batches
- * locally and drain them under one lock per episode (not per phase or
- * completion), keeping the hot path contention-free. Everything
- * stochastic stays in episode-confined handles, so the service never
- * serializes RNG state and never perturbs a sampled stream. The contract is compiler-checked:
- * `backends_` and `stats_` carry EBS_GUARDED_BY(mu_), so the CI Clang
- * `-Wthread-safety` build hard-errors on any drain or query path that
- * touches them without the lock.
+ * Thread-safety contract: every cross-thread touchpoint — backend
+ * registration, usage aggregation, batch tallies,
+ * totalUsage()/stats()/reset() — takes the service mutex, so concurrent
+ * episodes on the EpisodeRunner pool aggregate race-free by
+ * construction. Sessions stage usage and batches locally and drain them
+ * under one lock per episode (not per phase or completion, traced or
+ * not), keeping the hot path contention-free. Everything stochastic
+ * stays in episode-confined handles, so the service never serializes RNG
+ * state and never perturbs a sampled stream. The contract is
+ * compiler-checked: `backends_` and `stats_` carry EBS_GUARDED_BY(mu_),
+ * so the CI Clang `-Wthread-safety` build hard-errors on any drain or
+ * query path that touches them without the lock.
  *
- * Determinism contract: routing through the service (with batching on or
- * off, at any worker count) yields bit-identical EpisodeResults to the
- * legacy per-agent-engine path. Only the service's aggregate counters
- * and the BatchRecord logs are new information.
+ * Determinism contract: an episode's EpisodeResult is bit-identical at
+ * any worker count and whatever other episodes share the service. Its
+ * sampled streams live in its own handles; the service only adds
+ * aggregate counters, and batch assembly only adds BatchRecord logs.
  */
 class LlmEngineService
 {
   public:
-    explicit LlmEngineService(ServiceConfig config = {});
+    /** @throws std::invalid_argument for an enabled queue policy with a
+     * non-positive `iteration_s`. */
+    explicit LlmEngineService(QueuePolicy queue = {});
 
     LlmEngineService(const LlmEngineService &) = delete;
     LlmEngineService &operator=(const LlmEngineService &) = delete;
-
-    /** Open an episode-local session (cheap; one per episode). */
-    EngineSession openSession() { return EngineSession(this); }
 
     /**
      * Backend id for a profile, registering it on first sight. The id is
@@ -424,21 +383,16 @@ class LlmEngineService
     BackendId backendFor(const ModelProfile &profile) EBS_EXCLUDES(mu_);
 
     int backendCount() const EBS_EXCLUDES(mu_);
-    std::string backendName(BackendId backend) const EBS_EXCLUDES(mu_);
 
     /** Registered profile of a backend (the id's preimage), so a bench
      * replay can rebuild per-backend queue configs from record logs. */
     ModelProfile backendProfile(BackendId backend) const EBS_EXCLUDES(mu_);
 
     /**
-     * Fleet-wide usage of one backend (race-free snapshot). Sessions
-     * stage usage locally and drain it at flush/takeLog, so totals are
-     * exact once an episode finishes — mid-phase reads may lag by the
-     * calls staged since the last phase boundary.
+     * Fleet-wide usage summed over all backends (race-free snapshot).
+     * Sessions stage usage locally and drain it at takeLog (or
+     * destruction), so totals are exact once an episode finishes.
      */
-    LlmUsage backendUsage(BackendId backend) const EBS_EXCLUDES(mu_);
-
-    /** Fleet-wide usage summed over all backends (same freshness). */
     LlmUsage totalUsage() const EBS_EXCLUDES(mu_);
 
     /** Aggregate batching outcome across every session so far. */
@@ -446,8 +400,6 @@ class LlmEngineService
 
     /** Clear usage counters and batch tallies (backends persist). */
     void reset() EBS_EXCLUDES(mu_);
-
-    const ServiceConfig &config() const { return config_; }
 
     /**
      * Process-wide instance shared by the bench fleet and the default
@@ -457,7 +409,6 @@ class LlmEngineService
     static LlmEngineService &shared();
 
   private:
-    friend class EngineHandle;
     friend class EngineSession;
 
     /** Fold a session's unaccounted flushes — staged usage plus the
@@ -469,14 +420,13 @@ class LlmEngineService
 
     struct Backend
     {
-        std::string name;
         ModelProfile profile;
         LlmUsage usage;
     };
 
     mutable core::Mutex mu_;
     /** Set at construction, immutable after — safe to read lock-free. */
-    ServiceConfig config_;
+    QueuePolicy queue_policy_;
     /** Keyed (and therefore iterated) by stable id, so aggregate float
      * sums over backends accumulate in a scheduling-independent order. */
     std::map<BackendId, Backend> backends_ EBS_GUARDED_BY(mu_);

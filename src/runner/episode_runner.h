@@ -40,10 +40,10 @@ struct EpisodeJob
     bool record_tokens = false;
 
     /**
-     * Engine service the episode's LLM calls route through (not owned).
-     * Defaults to the process-wide shared service so the whole fleet
-     * shares backends; nullptr selects the legacy per-agent-engine path.
-     * Either way results are bit-identical — the service only adds
+     * Engine service the episode's LLM calls route through (not owned;
+     * never null, see EpisodeOptions::engine_service). Defaults to the
+     * process-wide shared service so the whole fleet shares backends.
+     * Results are bit-identical whichever service is used — it only adds
      * fleet-wide accounting and batch assembly, both race-free under the
      * scheduler's worker pool.
      */

@@ -46,18 +46,10 @@ TEST(BackendQueue, DegenerateConfigsAreRejected)
 
 TEST(BackendQueue, ServiceRejectsInconsistentQueuePolicy)
 {
-    // Queueing serves assembled batch groups: enabling it without
-    // batching would silently run open-loop.
-    EXPECT_THROW(llm::LlmEngineService(llm::ServiceConfig{
-                     .batching = false, .queue = {.enabled = true}}),
+    EXPECT_THROW(llm::LlmEngineService(
+                     llm::QueuePolicy{.enabled = true, .iteration_s = 0.0}),
                  std::invalid_argument);
-    EXPECT_THROW(
-        llm::LlmEngineService(llm::ServiceConfig{
-            .batching = true,
-            .queue = {.enabled = true, .iteration_s = 0.0}}),
-        std::invalid_argument);
-    EXPECT_NO_THROW(llm::LlmEngineService(llm::ServiceConfig{
-        .batching = true, .queue = {.enabled = true}}));
+    EXPECT_NO_THROW(llm::LlmEngineService(llm::QueuePolicy{.enabled = true}));
 }
 
 TEST(BackendQueue, DegenerateOverridesAreRejectedAtConstruction)
@@ -217,18 +209,17 @@ paradigmBatch(llm::LlmEngineService *service)
     return jobs;
 }
 
-constexpr llm::ServiceConfig kQueuedConfig{.batching = true,
-                                           .queue = {.enabled = true}};
+constexpr llm::QueuePolicy kQueuedPolicy{.enabled = true};
 
 TEST(BackendQueue, QueuedEpisodesBitIdenticalAcrossWorkerCounts)
 {
-    llm::LlmEngineService reference_service(kQueuedConfig);
+    llm::LlmEngineService reference_service(kQueuedPolicy);
     const auto reference =
         runner::EpisodeRunner(1).run(paradigmBatch(&reference_service));
 
     const int worker_counts[] = {4, runner::EpisodeRunner::defaultJobs()};
     for (const int workers : worker_counts) {
-        llm::LlmEngineService service(kQueuedConfig);
+        llm::LlmEngineService service(kQueuedPolicy);
         const auto routed =
             runner::EpisodeRunner(workers).run(paradigmBatch(&service));
         ASSERT_EQ(routed.size(), reference.size());
@@ -255,11 +246,12 @@ TEST(BackendQueue, QueuedEpisodesBitIdenticalAcrossWorkerCounts)
 
 TEST(BackendQueue, QueueingChargesTheClockButNeverPerturbsBehavior)
 {
-    // Open loop (no service): the behavioral reference.
+    // Open loop (infinite-capacity backends): the behavioral reference.
+    llm::LlmEngineService open_service;
     const auto open_loop =
-        runner::EpisodeRunner(1).run(paradigmBatch(nullptr));
+        runner::EpisodeRunner(1).run(paradigmBatch(&open_service));
 
-    llm::LlmEngineService queued_service(kQueuedConfig);
+    llm::LlmEngineService queued_service(kQueuedPolicy);
     const auto queued =
         runner::EpisodeRunner(1).run(paradigmBatch(&queued_service));
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Determinism harness for the shared LLM engine service (the tentpole
- * contract): routing every agent module through LlmEngineService — with
- * batching off or on, serial or fanned across EpisodeRunner workers —
- * must be bit-identical to the legacy per-agent-engine path, while the
- * service's usage aggregation stays exact and its batch assembly stays
- * reproducible at any worker count.
+ * Determinism harness for the shared LLM engine service: every agent
+ * module samples through a handle on its episode's session, and episodes
+ * fanned across EpisodeRunner workers must be bit-identical to the
+ * serial run, while the service's usage aggregation stays exact and its
+ * batch assembly stays reproducible at any worker count. The handle and
+ * session tests pin the layer below: a handle's response stream is
+ * exactly sampleCompletion() on its Rng, and a session's BatchRecords
+ * price each phase's calls with the joint-batch model.
  */
 
 #include <cstdint>
@@ -52,27 +54,24 @@ paradigmBatch(llm::LlmEngineService *service)
 
 TEST(EngineService, BitIdenticalAcrossEnginePathsAndWorkerCounts)
 {
-    // Reference: the legacy per-agent-engine path, serial.
-    const auto legacy =
-        runner::EpisodeRunner(1).run(paradigmBatch(nullptr));
+    // Reference: the serial run on a private service.
+    llm::LlmEngineService reference_service;
+    const auto reference =
+        runner::EpisodeRunner(1).run(paradigmBatch(&reference_service));
 
     // The EBS_JOBS sweep of the acceptance contract: serial, a fixed
-    // multi-worker count, and the hardware/EBS_JOBS default.
+    // multi-worker count, and the hardware/EBS_JOBS default — each on a
+    // fresh service, so the reference's backends are never reused.
     const int worker_counts[] = {1, 4, runner::EpisodeRunner::defaultJobs()};
-
-    for (const bool batching : {false, true}) {
-        for (const int workers : worker_counts) {
-            llm::LlmEngineService service(
-                llm::ServiceConfig{.batching = batching, .queue = {}});
-            const auto routed = runner::EpisodeRunner(workers).run(
-                paradigmBatch(&service));
-            ASSERT_EQ(routed.size(), legacy.size());
-            for (std::size_t i = 0; i < legacy.size(); ++i) {
-                SCOPED_TRACE("batching=" + std::to_string(batching) +
-                             " workers=" + std::to_string(workers) +
-                             " job " + std::to_string(i));
-                test::expectEpisodeIdentical(legacy[i], routed[i]);
-            }
+    for (const int workers : worker_counts) {
+        llm::LlmEngineService service;
+        const auto routed =
+            runner::EpisodeRunner(workers).run(paradigmBatch(&service));
+        ASSERT_EQ(routed.size(), reference.size());
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) + " job " +
+                         std::to_string(i));
+            test::expectEpisodeIdentical(reference[i], routed[i]);
         }
     }
 }
@@ -187,21 +186,6 @@ TEST(EngineService, SizeOneBatchesChargeExactlySequentialLatency)
     }
 }
 
-TEST(EngineService, LegacyPathProducesNoBatchLog)
-{
-    const auto legacy =
-        runner::EpisodeRunner(1).run(paradigmBatch(nullptr));
-    for (const auto &episode : legacy)
-        EXPECT_TRUE(episode.llm_batches.empty());
-
-    llm::LlmEngineService unbatched(
-        llm::ServiceConfig{.batching = false, .queue = {}});
-    const auto routed =
-        runner::EpisodeRunner(1).run(paradigmBatch(&unbatched));
-    for (const auto &episode : routed)
-        EXPECT_TRUE(episode.llm_batches.empty());
-}
-
 TEST(EngineService, BatchAssemblyIsDeterministicAcrossWorkerCounts)
 {
     llm::LlmEngineService serial_service;
@@ -280,23 +264,6 @@ TEST(EngineService, MultiAgentWorkloadsBatchAcrossAgents)
     EXPECT_GT(folded.cross_agent_batches, 0);
     EXPECT_GT(folded.occupancy(), 1.0);
     EXPECT_LT(folded.batched_s, folded.baseline_s);
-}
-
-TEST(EngineService, ChargedBatchingIsInertOnTheLegacyPath)
-{
-    // Without an engine-service session there is nothing to batch, so
-    // the ablation must not touch the clock (the old code wrongly
-    // applied the parallel-pipelines discount here).
-    auto flagged = paradigmBatch(nullptr);
-    for (auto &job : flagged)
-        job.pipeline.batch_llm_calls = true;
-    const auto legacy = runner::EpisodeRunner(1).run(paradigmBatch(nullptr));
-    const auto inert = runner::EpisodeRunner(1).run(flagged);
-    ASSERT_EQ(inert.size(), legacy.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-        SCOPED_TRACE("job " + std::to_string(i));
-        test::expectEpisodeIdentical(legacy[i], inert[i]);
-    }
 }
 
 TEST(EngineService, MergeWindowFoldIsConservative)
@@ -451,7 +418,7 @@ TEST(EngineService, BackendsAreSharedPerProfile)
     EXPECT_EQ(a, b);
     EXPECT_NE(a, c);
     EXPECT_EQ(service.backendCount(), 2);
-    EXPECT_EQ(service.backendName(a), gpt4.name);
+    EXPECT_EQ(service.backendProfile(a).name, gpt4.name);
 
     // A quantized variant is a different endpoint even under one name.
     auto tweaked = gpt4;
@@ -486,28 +453,143 @@ TEST(EngineService, BackendIdsAreRegistrationOrderIndependent)
     EXPECT_EQ(local_first, local_second);
 }
 
-TEST(EngineService, DetachedHandleMatchesPrivateEngine)
+/** Every field of two responses, bitwise. */
+void
+expectResponseIdentical(const llm::LlmResponse &a, const llm::LlmResponse &b)
+{
+    EXPECT_EQ(a.latency_s, b.latency_s);
+    EXPECT_EQ(a.tokens_in, b.tokens_in);
+    EXPECT_EQ(a.tokens_out, b.tokens_out);
+    EXPECT_EQ(a.truncated, b.truncated);
+    EXPECT_EQ(a.parse_ok, b.parse_ok);
+    EXPECT_EQ(a.good, b.good);
+}
+
+TEST(EngineService, HandleStreamMatchesSampleCompletion)
+{
+    // A handle's responses are sampleCompletion() on a copy of its Rng,
+    // call for call, however the session groups, flushes, defers and
+    // replays them: batch assembly never perturbs sampling.
+    const auto profile = llm::ModelProfile::gpt4Api();
+    llm::LlmEngineService service;
+    llm::EngineSession session(service);
+    llm::EngineHandle handle = session.handle(profile, sim::Rng(42));
+    // A second module on the same backend, so the groups are real
+    // multi-member batches.
+    llm::EngineHandle peer = session.handle(profile, sim::Rng(43));
+    sim::Rng reference(42);
+    llm::LlmUsage expected;
+    llm::DeferredNotes notes;
+
+    const int calls = 60;
+    for (int i = 0; i < calls; ++i) {
+        SCOPED_TRACE("call " + std::to_string(i));
+        if (i == 20)
+            handle.defer(&notes); // a parallel-phase turn begins
+        if (i == 30) {
+            handle.defer(nullptr); // ... and commits
+            session.replay(notes);
+        }
+        llm::LlmRequest request;
+        request.tokens_in = 300 + 97 * i;
+        request.tokens_out_mean = 40 + i;
+        const auto want = llm::sampleCompletion(profile, request, reference);
+        expectResponseIdentical(want, handle.complete(request));
+        expected.add(want);
+        peer.complete(request);
+        if (i % 7 == 6)
+            session.flush();
+        if (i % 13 == 12)
+            session.beginStep(i);
+    }
+    EXPECT_EQ(handle.usage().calls, expected.calls);
+    EXPECT_EQ(handle.usage().tokens_in, expected.tokens_in);
+    EXPECT_EQ(handle.usage().tokens_out, expected.tokens_out);
+    EXPECT_EQ(handle.usage().total_latency_s, expected.total_latency_s);
+
+    // The deferred round was replayed, not lost, and the calls really
+    // were batched.
+    const auto log = session.takeLog();
+    long long batched_requests = 0;
+    bool saw_multi_member = false;
+    for (const auto &record : log) {
+        batched_requests += record.requests;
+        saw_multi_member |= record.requests > 1;
+    }
+    EXPECT_EQ(batched_requests, 2 * calls);
+    EXPECT_TRUE(saw_multi_member);
+    EXPECT_EQ(service.totalUsage().calls,
+              static_cast<std::size_t>(2 * calls));
+}
+
+TEST(EngineHandle, UsageAccounting)
+{
+    llm::LlmEngineService service;
+    llm::EngineSession session(service);
+    llm::EngineHandle handle =
+        session.handle(llm::ModelProfile::gpt4Api(), sim::Rng(6));
+    llm::LlmRequest req;
+    req.tokens_in = 100;
+    req.tokens_out_mean = 10;
+    handle.complete(req);
+    handle.complete(req);
+    EXPECT_EQ(handle.usage().calls, 2u);
+    EXPECT_EQ(handle.usage().tokens_in, 200);
+    EXPECT_GT(handle.usage().tokens_out, 0);
+    EXPECT_GT(handle.usage().total_latency_s, 0.0);
+
+    // The service sees the same usage once the session hands it over.
+    session.takeLog();
+    const auto total = service.totalUsage();
+    EXPECT_EQ(total.calls, handle.usage().calls);
+    EXPECT_EQ(total.tokens_in, handle.usage().tokens_in);
+    EXPECT_EQ(total.tokens_out, handle.usage().tokens_out);
+    EXPECT_EQ(total.total_latency_s, handle.usage().total_latency_s);
+}
+
+TEST(EngineSession, BatchIsFasterThanSequential)
 {
     const auto profile = llm::ModelProfile::gpt4Api();
-    llm::LlmEngine engine(profile, sim::Rng(42));
-    llm::EngineHandle handle(nullptr, profile, sim::Rng(42));
-
-    llm::LlmRequest request;
-    request.tokens_in = 900;
-    request.tokens_out_mean = 80;
-    for (int i = 0; i < 50; ++i) {
-        const auto a = engine.complete(request);
-        const auto b = handle.complete(request);
-        EXPECT_EQ(a.latency_s, b.latency_s);
-        EXPECT_EQ(a.tokens_in, b.tokens_in);
-        EXPECT_EQ(a.tokens_out, b.tokens_out);
-        EXPECT_EQ(a.parse_ok, b.parse_ok);
-        EXPECT_EQ(a.good, b.good);
+    llm::LlmEngineService service;
+    llm::EngineSession session(service);
+    llm::EngineHandle handle = session.handle(profile, sim::Rng(7));
+    sim::Rng reference(7);
+    double sequential = 0.0;
+    for (int i = 0; i < 6; ++i) {
+        llm::LlmRequest r;
+        r.tokens_in = 800;
+        r.tokens_out_mean = 80;
+        sequential += llm::sampleCompletion(profile, r, reference).latency_s;
+        handle.complete(r);
     }
-    EXPECT_EQ(engine.usage().calls, handle.usage().calls);
-    EXPECT_EQ(engine.usage().tokens_out, handle.usage().tokens_out);
-    EXPECT_EQ(engine.usage().total_latency_s,
-              handle.usage().total_latency_s);
+    const auto log = session.takeLog();
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].requests, 6);
+    EXPECT_EQ(log[0].baseline_s, sequential);
+    EXPECT_LT(log[0].batched_s, sequential * 0.6);
+}
+
+TEST(EngineSession, BatchEmptyIsEmpty)
+{
+    // Flushing with nothing issued assembles nothing, charges nothing,
+    // and draws nothing from any handle's stream.
+    const auto profile = llm::ModelProfile::gpt4Api();
+    llm::LlmEngineService service;
+    llm::EngineSession session(service);
+    llm::EngineHandle handle = session.handle(profile, sim::Rng(8));
+    session.flush();
+    session.beginStep(1);
+    session.flush();
+    EXPECT_EQ(session.phaseBaseline(), 0.0);
+    EXPECT_EQ(session.takePendingCharge(), 0.0);
+    EXPECT_TRUE(session.takeLog().empty());
+    EXPECT_EQ(service.stats().batches, 0);
+
+    llm::LlmRequest req;
+    req.tokens_in = 500;
+    sim::Rng untouched(8);
+    expectResponseIdentical(llm::sampleCompletion(profile, req, untouched),
+                            handle.complete(req));
 }
 
 TEST(EngineService, SharedServiceIsTheDefaultRoute)

@@ -70,8 +70,10 @@ TEST(Regression, StaleBeliefIsInvalidatedAfterFailedVisit)
     sim::Rng rng(9);
     envs::TransportEnv env(env::Difficulty::Easy, 1, rng);
     stats::LatencyRecorder recorder;
+    llm::LlmEngineService service;
+    llm::EngineSession session(service);
     core::AgentConfig config;
-    core::Agent agent(0, config, &env, sim::Rng(10), &recorder);
+    core::Agent agent(0, config, &env, sim::Rng(10), &recorder, session);
 
     // Deterministic fixture: stand the agent in a room guaranteed to
     // contain a loose item (the spawn room may be empty), sense it, then

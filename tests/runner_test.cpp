@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,6 +109,36 @@ TEST(EpisodeRunner, PropagatesWorkerExceptions)
             throw std::runtime_error("episode exploded");
         };
     EXPECT_THROW(runner::EpisodeRunner(4).run(jobs), std::runtime_error);
+}
+
+TEST(EpisodeRunner, NullServiceOrPhaseWallThrowsBeforeTheEpisode)
+{
+    // Both pointers are dereferenced by every episode; a null one must
+    // surface as an exception naming the field, not as a crash.
+    const auto &spec = workloads::workload("MindAgent");
+    runner::EpisodeJob no_service;
+    no_service.workload = &spec;
+    no_service.config = spec.config;
+    no_service.difficulty = env::Difficulty::Easy;
+    runner::EpisodeJob no_phase_wall = no_service;
+    no_service.engine_service = nullptr;
+    no_phase_wall.phase_wall = nullptr;
+
+    const std::pair<const char *, runner::EpisodeJob> cases[] = {
+        {"engine_service", no_service}, {"phase_wall", no_phase_wall}};
+    for (const auto &[field, job] : cases) {
+        SCOPED_TRACE(field);
+        for (const int workers : {1, 4}) {
+            try {
+                runner::EpisodeRunner(workers).run({job, job});
+                ADD_FAILURE() << "expected std::invalid_argument";
+            } catch (const std::invalid_argument &error) {
+                EXPECT_NE(std::string(error.what()).find(field),
+                          std::string::npos)
+                    << error.what();
+            }
+        }
+    }
 }
 
 TEST(EpisodeRunner, DefaultJobsParsesEnvDefensively)
