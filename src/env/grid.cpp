@@ -27,6 +27,9 @@ GridMap::GridMap(int width, int height)
       walkable_(checkedArea(width, height), 1),
       room_(walkable_.size(), 0)
 {
+    if (width <= kMaxMaskWidth)
+        row_mask_.assign(static_cast<std::size_t>(height),
+                         ~std::uint64_t{0} >> (kMaxMaskWidth - width));
 }
 
 void
@@ -45,6 +48,11 @@ GridMap::setWalkable(const Vec2i &p, bool w)
 {
     requireInBounds(p, "setWalkable");
     walkable_[idx(p)] = w ? 1 : 0;
+    if (hasRowMasks()) {
+        const std::uint64_t bit = std::uint64_t{1} << p.x;
+        std::uint64_t &row = row_mask_[static_cast<std::size_t>(p.y)];
+        row = w ? (row | bit) : (row & ~bit);
+    }
     if (!w)
         room_[idx(p)] = -1;
     ++revision_;

@@ -19,6 +19,12 @@ namespace ebs::env {
  * out-of-bounds write, a room id that does not fit the 16-bit label store,
  * or a degenerate apartment throws (std::invalid_argument /
  * std::out_of_range) instead of corrupting the map.
+ *
+ * Walkability is stored twice: a byte per cell, which walkable() reads,
+ * and — on maps at most kMaxMaskWidth cells wide — one 64-bit mask per
+ * row (bit x of rowMask(y) is walkable({x, y})), which lets whole-row
+ * bitset sweeps such as A*'s reachability check run without touching
+ * the byte array. setWalkable keeps both in step.
  */
 class GridMap
 {
@@ -42,6 +48,23 @@ class GridMap
     }
 
     void setWalkable(const Vec2i &p, bool w);
+
+    /** Widest map that keeps per-row walkable masks. */
+    static constexpr int kMaxMaskWidth = 64;
+
+    /** True when the map keeps row masks (width() <= kMaxMaskWidth). */
+    bool hasRowMasks() const { return !row_mask_.empty(); }
+
+    /**
+     * Walkable mask of row y: bit x is set iff walkable({x, y}); bits at
+     * and above width() are clear. Requires hasRowMasks() and
+     * 0 <= y < height().
+     */
+    std::uint64_t
+    rowMask(int y) const
+    {
+        return row_mask_[static_cast<std::size_t>(y)];
+    }
 
     /** Room id of a cell (-1 for walls / out of bounds). */
     int
@@ -92,6 +115,8 @@ class GridMap
     int room_count_ = 1;
     std::uint64_t revision_ = 0;
     std::vector<std::uint8_t> walkable_;
+    /** One mask per row when width_ <= kMaxMaskWidth, else empty. */
+    std::vector<std::uint64_t> row_mask_;
     std::vector<std::int16_t> room_;
 };
 

@@ -22,14 +22,19 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
     // reports the cells whose blocked status it consulted and those are
     // logged as per-cell occupancy reads: the search result can only
     // change if one of them changes.
+    //
+    // The body and read-set buffers are per-thread and keep their
+    // capacity, so a query allocates only A*'s returned path.
+    thread_local std::vector<env::Vec2i> blocked;
+    thread_local std::vector<env::Vec2i> queried;
     const env::World &w = world();
-    std::vector<env::Vec2i> blocked;
+    blocked.clear();
     for (const env::AgentBody &body : w.bodies())
         if (!(body.pos == from))
             blocked.push_back(body.pos);
     env::spec::AccessLog *log = w.accessLog();
-    std::vector<env::Vec2i> queried;
-    const auto result =
+    queried.clear();
+    auto result =
         plan::aStar(w.grid(), from, to,
                     /*adjacent_ok=*/true, &blocked,
                     log != nullptr ? &queried : nullptr);
@@ -39,7 +44,7 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
     if (!result)
         return -1.0;
     if (path != nullptr)
-        *path = result->cells;
+        *path = std::move(result->cells);
     return result->cost;
 }
 

@@ -26,29 +26,36 @@ struct Node
 
 /**
  * Per-thread search state reused across calls. A cell's g_score and parent
- * are valid only while its stamp equals the current generation, so a new
- * search invalidates every cell by bumping the generation instead of
- * clearing the arrays. The open list keeps its capacity between calls.
+ * are valid only while its stamp equals the current generation, and a cell
+ * holds a body only while its body stamp does, so a new search invalidates
+ * every cell by bumping the generation instead of clearing the arrays. The
+ * open list and the reachability rows keep their capacity between calls.
  */
 struct Workspace
 {
     std::vector<std::uint32_t> stamp;
+    std::vector<std::uint32_t> body;
     std::vector<std::int32_t> g_score;
     std::vector<std::int32_t> parent;
     std::vector<Node> open;
+    std::vector<std::uint64_t> open_rows;
+    std::vector<std::uint64_t> reach_rows;
     std::uint32_t generation = 0;
 
-    /** Start a search over `cells` cells: every cell reads as unvisited. */
+    /** Start a search over `cells` cells: every cell reads as unvisited
+     * and body-free. */
     void
     begin(std::size_t cells)
     {
         if (stamp.size() < cells) {
             stamp.resize(cells, 0);
+            body.resize(cells, 0);
             g_score.resize(cells);
             parent.resize(cells);
         }
         if (++generation == 0) {
             std::fill(stamp.begin(), stamp.end(), 0);
+            std::fill(body.begin(), body.end(), 0);
             generation = 1;
         }
         open.clear();
@@ -56,6 +63,108 @@ struct Workspace
 };
 
 thread_local Workspace workspace;
+
+/**
+ * Every bit of `open` joined to a bit of `seed` by a run of set bits of
+ * `open`; `seed` must be a subset of `open`. A Kogge-Stone occluded fill
+ * towards higher and towards lower bits, six doubling steps each.
+ */
+std::uint64_t
+rowFill(std::uint64_t seed, std::uint64_t open)
+{
+    std::uint64_t hi = seed;
+    std::uint64_t lo = seed;
+    std::uint64_t hi_open = open;
+    std::uint64_t lo_open = open;
+    for (int shift = 1; shift < 64; shift *= 2) {
+        hi |= hi_open & (hi << shift);
+        lo |= lo_open & (lo >> shift);
+        hi_open &= hi_open << shift;
+        lo_open &= lo_open >> shift;
+    }
+    return hi | lo;
+}
+
+/**
+ * Whether the search can reach a goal cell: a 4-connected flood fill from
+ * `start` over the grid's row masks with the body cells cleared. `start`
+ * counts as free even under a body (the search never tests it). Goal
+ * cells are `goal`, or with `adjacent_ok` every cell within chebyshev
+ * distance 1 of it. Rows are filled whole with rowFill, and downward and
+ * upward sweeps alternate until a goal cell is reached or a sweep adds
+ * nothing. Requires grid.hasRowMasks() and in-bounds, distinct start and
+ * goal cells.
+ */
+bool
+goalReachable(const env::GridMap &grid, const env::Vec2i &start,
+              const env::Vec2i &goal, bool adjacent_ok,
+              const std::vector<env::Vec2i> &blocked, Workspace &ws)
+{
+    const int w = grid.width();
+    const int h = grid.height();
+    const auto rows = static_cast<std::size_t>(h);
+    ws.open_rows.resize(rows);
+    ws.reach_rows.assign(rows, 0);
+    std::uint64_t *const open = ws.open_rows.data();
+    std::uint64_t *const reach = ws.reach_rows.data();
+    auto bit = [](int x) { return std::uint64_t{1} << x; };
+
+    for (int y = 0; y < h; ++y)
+        open[y] = grid.rowMask(y);
+    for (const env::Vec2i &b : blocked)
+        if (grid.inBounds(b))
+            open[b.y] &= ~bit(b.x);
+    open[start.y] |= bit(start.x);
+
+    int goal_y0 = goal.y;
+    int goal_y1 = goal.y;
+    std::uint64_t goal_bits = bit(goal.x);
+    if (adjacent_ok) {
+        goal_y0 = std::max(0, goal.y - 1);
+        goal_y1 = std::min(h - 1, goal.y + 1);
+        const int x_hi = std::min(w - 1, goal.x + 1);
+        const int x_lo = std::max(0, goal.x - 1);
+        goal_bits = ((bit(x_hi) - 1) | bit(x_hi)) & ~(bit(x_lo) - 1);
+    }
+    auto reaches_goal = [&](int y) {
+        return y >= goal_y0 && y <= goal_y1 && (reach[y] & goal_bits) != 0;
+    };
+    // Grow row y from its neighbour row `from`; true when it gained cells.
+    auto grow = [&](int y, int from) {
+        const std::uint64_t seed = reach[from] & open[y] & ~reach[y];
+        if (seed == 0)
+            return false;
+        reach[y] |= rowFill(seed, open[y]);
+        return true;
+    };
+
+    reach[start.y] = rowFill(bit(start.x), open[start.y]);
+    if (reaches_goal(start.y))
+        return true;
+    // After a sweep every row is closed under growth from its neighbour
+    // on the sweep's side, so a later sweep that adds nothing means the
+    // fill is complete.
+    for (bool down = true, first = true;; down = !down, first = false) {
+        bool grew = false;
+        if (down) {
+            for (int y = 1; y < h; ++y)
+                if (grow(y, y - 1)) {
+                    if (reaches_goal(y))
+                        return true;
+                    grew = true;
+                }
+        } else {
+            for (int y = h - 2; y >= 0; --y)
+                if (grow(y, y + 1)) {
+                    if (reaches_goal(y))
+                        return true;
+                    grew = true;
+                }
+        }
+        if (!grew && !first)
+            return false;
+    }
+}
 
 } // namespace
 
@@ -77,33 +186,32 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
     if (!grid.walkable(start))
         return std::nullopt;
 
-    auto is_blocked = [&](const env::Vec2i &p) {
-        if (queried != nullptr)
-            queried->push_back(p);
-        if (blocked == nullptr)
-            return false;
-        for (const auto &b : *blocked)
-            if (b == p)
-                return true;
-        return false;
-    };
-
     auto at_goal = [&](const env::Vec2i &p) {
         return adjacent_ok ? env::chebyshev(p, goal) <= 1 : p == goal;
     };
     if (at_goal(start))
         return GridPath{{start}, 0.0};
 
+    Workspace &ws = workspace;
+    const bool has_bodies = blocked != nullptr && !blocked->empty();
+    if (has_bodies && queried == nullptr && grid.hasRowMasks() &&
+        !goalReachable(grid, start, goal, adjacent_ok, *blocked, ws))
+        return std::nullopt;
+
     const int w = grid.width();
     const int h = grid.height();
-    Workspace &ws = workspace;
     ws.begin(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
     const std::uint32_t gen = ws.generation;
     std::uint32_t *const stamp = ws.stamp.data();
+    std::uint32_t *const body = ws.body.data();
     std::int32_t *const g_score = ws.g_score.data();
     std::int32_t *const parent = ws.parent.data();
 
     auto index = [&](const env::Vec2i &p) { return p.y * w + p.x; };
+    if (has_bodies)
+        for (const env::Vec2i &b : *blocked)
+            if (grid.inBounds(b))
+                body[index(b)] = gen;
     auto heuristic = [&](const env::Vec2i &p) {
         const int d = env::manhattan(p, goal);
         return adjacent_ok ? std::max(0, d - 1) : d;
@@ -141,9 +249,13 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
 
         for (const auto &d : kDirs) {
             const env::Vec2i q = p + d;
-            if (!grid.walkable(q) || is_blocked(q))
+            if (!grid.walkable(q))
                 continue;
+            if (queried != nullptr)
+                queried->push_back(q);
             const int qi = index(q);
+            if (has_bodies && body[qi] == gen)
+                continue;
             const int ng = cur.g + 1;
             if (stamp[qi] != gen || ng < g_score[qi]) {
                 stamp[qi] = gen;

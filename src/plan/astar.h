@@ -30,6 +30,20 @@ struct GridPath
  * Among open nodes of equal f the deeper one (larger g) pops first, and
  * neighbours are tried in +x, -x, +y, -y order.
  *
+ * Bodies are stamped into a per-thread cell mask before the search, so
+ * testing a neighbour against `blocked` is O(1) whatever the team size;
+ * with `queried` set, each test is still logged in the search's order.
+ *
+ * Reachability check: when `blocked` is non-empty, `queried` is null and
+ * the map keeps row masks (width <= GridMap::kMaxMaskWidth), a bitset
+ * flood fill from `start` over the row masks with the body cells cleared
+ * runs first. If it reaches no goal cell the query returns nullopt
+ * without searching. Otherwise the search runs as it would without the
+ * check, so every result and path is the same either way; only
+ * aStarLastExpanded() tells the two apart. Queries without bodies skip
+ * the check (their failures are rare static ones), and queries that log
+ * reads skip it so their read set stays the full search's.
+ *
  * @param adjacent_ok when true, reaching any cell adjacent (chebyshev <= 1)
  *                    to the goal counts as arrival — the common case for
  *                    interacting with objects that sit on furniture.
@@ -51,7 +65,8 @@ std::optional<GridPath> aStar(const env::GridMap &grid,
                               std::vector<env::Vec2i> *queried = nullptr);
 
 /** Cells expanded by the most recent aStar call on this thread (for perf
- * tests and the microbench). */
+ * tests and hostbench's A* probe). 0 when the reachability check answered the
+ * call without searching. */
 std::size_t aStarLastExpanded();
 
 } // namespace ebs::plan

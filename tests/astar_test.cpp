@@ -123,6 +123,24 @@ TEST(AStar, BlockedDetourTaken)
         EXPECT_FALSE(cell == (Vec2i{2, 2}));
 }
 
+TEST(AStar, BodyCutFailureSkipsSearch)
+{
+    GridMap g(5, 3);
+    for (int x = 0; x < 5; ++x) {
+        g.setWalkable({x, 0}, false);
+        g.setWalkable({x, 2}, false);
+    }
+    const std::vector<Vec2i> blocked = {{2, 1}};
+    EXPECT_FALSE(aStar(g, {0, 1}, {4, 1}, false, &blocked).has_value());
+    EXPECT_EQ(aStarLastExpanded(), 0u);
+    // A query that logs its reads keeps the full search and its read set.
+    std::vector<Vec2i> reads;
+    EXPECT_FALSE(
+        aStar(g, {0, 1}, {4, 1}, false, &blocked, &reads).has_value());
+    EXPECT_EQ(aStarLastExpanded(), 2u);
+    EXPECT_EQ(reads, (std::vector<Vec2i>{{1, 1}, {2, 1}, {0, 1}}));
+}
+
 TEST(AStar, ExpansionCounterPopulated)
 {
     GridMap g(30, 30);
@@ -271,6 +289,81 @@ randomGrid(sim::Rng &rng)
     return g;
 }
 
+/**
+ * Runs one query through aStar and the reference and expects the same
+ * answer, path, cost and read set. The expansion counts match too, except
+ * that a failed query with bodies, no read log and a map at most
+ * GridMap::kMaxMaskWidth wide is answered by aStar's reachability check
+ * without searching, so it expands nothing. Returns whether the reference
+ * found a path.
+ */
+bool
+matchesReference(const GridMap &g, const Vec2i &start, const Vec2i &goal,
+                 bool adjacent_ok, const std::vector<Vec2i> *blocked,
+                 bool log_reads)
+{
+    std::vector<Vec2i> want_reads, got_reads;
+    std::size_t want_expanded = 0;
+    const auto want =
+        referenceAStar(g, start, goal, adjacent_ok, blocked,
+                       log_reads ? &want_reads : nullptr, want_expanded);
+    const auto got = aStar(g, start, goal, adjacent_ok, blocked,
+                           log_reads ? &got_reads : nullptr);
+
+    EXPECT_EQ(got.has_value(), want.has_value());
+    if (got.has_value() && want.has_value()) {
+        EXPECT_EQ(got->cells, want->cells);
+        EXPECT_EQ(got->cost, want->cost);
+    }
+    const bool short_circuit = !want.has_value() && blocked != nullptr &&
+                               !blocked->empty() && !log_reads &&
+                               g.width() <= GridMap::kMaxMaskWidth;
+    EXPECT_EQ(aStarLastExpanded(), short_circuit ? 0 : want_expanded);
+    EXPECT_EQ(got_reads, want_reads);
+    return want.has_value();
+}
+
+/** The doorway cells of GridMap::apartment(rooms_x, rooms_y, room_w,
+ * room_h): the walkable cells on its wall lines. */
+std::vector<Vec2i>
+doorways(const GridMap &g, int room_w, int room_h)
+{
+    std::vector<Vec2i> out;
+    for (int y = 0; y < g.height(); ++y)
+        for (int x = 0; x < g.width(); ++x)
+            if (g.walkable({x, y}) &&
+                (x % (room_w + 1) == 0 || y % (room_h + 1) == 0))
+                out.push_back({x, y});
+    return out;
+}
+
+/** A uniformly random walkable cell (the map must have one). */
+Vec2i
+randomWalkable(sim::Rng &rng, const GridMap &g)
+{
+    for (;;) {
+        const Vec2i p{rng.uniformInt(0, g.width() - 1),
+                      rng.uniformInt(0, g.height() - 1)};
+        if (g.walkable(p))
+            return p;
+    }
+}
+
+/** Bodies on a random half of the doorways plus up to two anywhere, as
+ * agents crowd a multi-room apartment: routes are cut often. */
+std::vector<Vec2i>
+doorwayBodies(sim::Rng &rng, const GridMap &g, int room_w, int room_h)
+{
+    std::vector<Vec2i> bodies;
+    for (const Vec2i &door : doorways(g, room_w, room_h))
+        if (rng.bernoulli(0.5))
+            bodies.push_back(door);
+    const int extra = rng.uniformInt(0, 2);
+    for (int k = 0; k < extra; ++k)
+        bodies.push_back(randomWalkable(rng, g));
+    return bodies;
+}
+
 TEST(AStarDifferential, MatchesReferenceOnSeededRandomGrids)
 {
     sim::Rng rng(20240613);
@@ -289,30 +382,73 @@ TEST(AStarDifferential, MatchesReferenceOnSeededRandomGrids)
         const bool use_blocked = rng.bernoulli(0.7);
         const bool log_reads = rng.bernoulli(0.7);
 
-        std::vector<Vec2i> want_reads, got_reads;
-        std::size_t want_expanded = 0;
-        const auto want = referenceAStar(
-            g, start, goal, adjacent_ok, use_blocked ? &blocked : nullptr,
-            log_reads ? &want_reads : nullptr, want_expanded);
-        const auto got =
-            aStar(g, start, goal, adjacent_ok,
-                  use_blocked ? &blocked : nullptr,
-                  log_reads ? &got_reads : nullptr);
-
         SCOPED_TRACE("trial " + std::to_string(trial));
-        ASSERT_EQ(got.has_value(), want.has_value());
-        if (want.has_value()) {
+        if (matchesReference(g, start, goal, adjacent_ok,
+                             use_blocked ? &blocked : nullptr, log_reads))
             ++found;
-            EXPECT_EQ(got->cells, want->cells);
-            EXPECT_EQ(got->cost, want->cost);
-        }
-        EXPECT_EQ(aStarLastExpanded(), want_expanded);
-        EXPECT_EQ(got_reads, want_reads);
     }
     // The sweep must cover both outcomes, not just trivial failures.
     EXPECT_GT(found, 500);
     EXPECT_LT(found, 3000);
-}
 
+    // Apartments with bodies on doorways: failures are mostly body-cut
+    // routes between walkable cells, the case the reachability check
+    // answers without searching.
+    int door_found = 0;
+    for (int trial = 0; trial < 1500; ++trial) {
+        const int room_w = rng.uniformInt(3, 7);
+        const int room_h = rng.uniformInt(3, 7);
+        const GridMap g =
+            GridMap::apartment(rng.uniformInt(1, 4), rng.uniformInt(2, 3),
+                               room_w, room_h);
+        const std::vector<Vec2i> blocked =
+            doorwayBodies(rng, g, room_w, room_h);
+        const Vec2i start = rng.bernoulli(0.1) && !blocked.empty()
+                                ? blocked.front() // start under a body
+                                : randomWalkable(rng, g);
+        const Vec2i goal = randomWalkable(rng, g);
+        SCOPED_TRACE("doorway trial " + std::to_string(trial));
+        if (matchesReference(g, start, goal, rng.bernoulli(0.5), &blocked,
+                             rng.bernoulli(0.3)))
+            ++door_found;
+    }
+    EXPECT_GT(door_found, 300);
+    EXPECT_LT(door_found, 1200);
+
+    // Maps 65-80 cells wide keep no row masks: the check is skipped and
+    // every failure still searches.
+    int wide_found = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const bool apartment = rng.bernoulli(0.5);
+        const int room_w = rng.uniformInt(15, 18);
+        const int room_h = rng.uniformInt(3, 5);
+        GridMap g = apartment ? GridMap::apartment(4, rng.uniformInt(1, 2),
+                                                   room_w, room_h)
+                              : GridMap(rng.uniformInt(65, 80),
+                                        rng.uniformInt(1, 12));
+        std::vector<Vec2i> blocked;
+        if (apartment) {
+            blocked = doorwayBodies(rng, g, room_w, room_h);
+        } else {
+            const double density = rng.uniform(0.0, 0.4);
+            for (int y = 0; y < g.height(); ++y)
+                for (int x = 0; x < g.width(); ++x)
+                    if (rng.bernoulli(density))
+                        g.setWalkable({x, y}, false);
+            const int n_blocked = rng.uniformInt(1, 6);
+            for (int k = 0; k < n_blocked; ++k)
+                blocked.push_back(randomCell(rng, g));
+        }
+        ASSERT_FALSE(g.hasRowMasks());
+        const Vec2i start = randomCell(rng, g);
+        const Vec2i goal = randomCell(rng, g);
+        SCOPED_TRACE("wide trial " + std::to_string(trial));
+        if (matchesReference(g, start, goal, rng.bernoulli(0.5), &blocked,
+                             rng.bernoulli(0.3)))
+            ++wide_found;
+    }
+    EXPECT_GT(wide_found, 50);
+    EXPECT_LT(wide_found, 400);
+}
 } // namespace
 } // namespace ebs::plan

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "env/grid.h"
+#include "sim/rng.h"
 
 namespace ebs::env {
 namespace {
@@ -92,6 +93,60 @@ TEST(GridMap, RevisionCountsMutations)
     EXPECT_EQ(g.revision(), 2u);
     const GridMap copy = g;
     EXPECT_EQ(copy.revision(), 2u);
+}
+
+/** Every bit of every row mask equals walkable() of its cell, and bits
+ * at and above the width are clear. */
+void
+expectRowMasksMatch(const GridMap &g)
+{
+    ASSERT_TRUE(g.hasRowMasks());
+    for (int y = 0; y < g.height(); ++y)
+        for (int x = 0; x < GridMap::kMaxMaskWidth; ++x)
+            ASSERT_EQ((g.rowMask(y) >> x) & 1u,
+                      g.walkable({x, y}) ? 1u : 0u)
+                << "cell (" << x << "," << y << ")";
+}
+
+/** Random setWalkable writes, each followed by a full mask check. */
+void
+mutateAndCheck(GridMap &g, sim::Rng &rng, int writes)
+{
+    for (int k = 0; k < writes; ++k) {
+        g.setWalkable({rng.uniformInt(0, g.width() - 1),
+                       rng.uniformInt(0, g.height() - 1)},
+                      rng.bernoulli(0.5));
+        expectRowMasksMatch(g);
+    }
+}
+
+TEST(GridMap, RowMasksTrackRandomWrites)
+{
+    sim::Rng rng(77);
+    for (const int width : {1, 7, 63, 64}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        GridMap g(width, 9);
+        expectRowMasksMatch(g);
+        mutateAndCheck(g, rng, 300);
+        const GridMap copy = g;
+        expectRowMasksMatch(copy);
+    }
+    for (int trial = 0; trial < 20; ++trial) {
+        GridMap g = GridMap::apartment(
+            rng.uniformInt(1, 4), rng.uniformInt(1, 3), rng.uniformInt(3, 12),
+            rng.uniformInt(3, 7));
+        SCOPED_TRACE("apartment " + std::to_string(g.width()) + "x" +
+                     std::to_string(g.height()));
+        expectRowMasksMatch(g);
+        mutateAndCheck(g, rng, 50);
+    }
+}
+
+TEST(GridMap, NoRowMasksPastSixtyFourColumns)
+{
+    EXPECT_TRUE(GridMap(64, 3).hasRowMasks());
+    EXPECT_FALSE(GridMap(65, 3).hasRowMasks());
+    EXPECT_FALSE(GridMap::apartment(4, 1, 16, 3).hasRowMasks()); // 65 wide
 }
 
 TEST(GridApartment, RejectsDegenerateLayouts)
