@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "stats/csv.h"
@@ -24,7 +25,14 @@ run(ebs::bench::SuiteContext &ctx)
     std::ofstream csv_file;
     std::unique_ptr<stats::CsvWriter> csv;
     if (!ctx.args().empty()) {
-        csv_file.open(ctx.args()[0] + "/fig5_memory.csv");
+        // Fail before any episode runs, not after a silent full run.
+        const std::string csv_path = ctx.args()[0] + "/fig5_memory.csv";
+        csv_file.open(csv_path);
+        if (!csv_file) {
+            ctx.eprintf("bench_fig5_memory: cannot write %s\n",
+                        csv_path.c_str());
+            return 2;
+        }
         csv = std::make_unique<stats::CsvWriter>(
             csv_file, std::vector<std::string>{
                           "system", "difficulty", "capacity", "success",

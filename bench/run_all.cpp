@@ -44,7 +44,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -81,9 +80,9 @@ struct SuiteResult
  * Run one registered suite in-process through its SuiteContext. The
  * suite function's sinks are already bound to the per-suite log files;
  * this wrapper adds wall clock, CPU accounting, an RSS reading, the
- * suite's metric payloads and phase split, and exception containment
- * (a throwing suite must report a failing exit code, not kill the
- * fleet).
+ * suite's metric payloads and phase split. bench::runSuite contains a
+ * throwing suite (exit code 1, message on its stderr sink), so one
+ * suite's failure never kills the fleet.
  */
 SuiteResult
 runSuiteInProcess(const ebs::bench::SuiteInfo &suite,
@@ -95,17 +94,7 @@ runSuiteInProcess(const ebs::bench::SuiteInfo &suite,
     struct rusage before{};
     ::getrusage(RUSAGE_SELF, &before);
     const double start = ebs::stats::hostNow();
-    try {
-        result.exit_code = suite.fn(context);
-    } catch (const std::exception &e) {
-        context.eprintf("run_all: suite %s threw: %s\n",
-                        suite.name.c_str(), e.what());
-        result.exit_code = 1;
-    } catch (...) {
-        context.eprintf("run_all: suite %s threw a non-std exception\n",
-                        suite.name.c_str());
-        result.exit_code = 1;
-    }
+    result.exit_code = ebs::bench::runSuite(suite, context);
     result.wall_seconds = ebs::stats::hostNow() - start;
     struct rusage after{};
     ::getrusage(RUSAGE_SELF, &after);

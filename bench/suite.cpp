@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdarg>
+#include <exception>
 
 namespace ebs::bench {
 
@@ -34,13 +35,6 @@ SuiteContext::eprintf(const char *format, ...)
     // EBS_LINT_ALLOW(suite-io): the SuiteContext sink itself
     std::vfprintf(err_, format, args);
     va_end(args);
-}
-
-void
-SuiteContext::write(const std::string &text)
-{
-    // EBS_LINT_ALLOW(suite-io): the SuiteContext sink itself
-    std::fwrite(text.data(), 1, text.size(), out_);
 }
 
 runner::EpisodeJob
@@ -183,6 +177,21 @@ SuiteContext::emitPhaseWallSummary()
             "\"episodes\":%lld}\n",
             jsonNum(wall.compute_s, 3).c_str(),
             jsonNum(wall.execute_s, 3).c_str(), wall.episodes);
+}
+
+int
+runSuite(const SuiteInfo &suite, SuiteContext &context)
+{
+    try {
+        return suite.fn(context);
+    } catch (const std::exception &e) {
+        context.eprintf("suite %s threw: %s\n", suite.name.c_str(),
+                        e.what());
+    } catch (...) {
+        context.eprintf("suite %s threw a non-std exception\n",
+                        suite.name.c_str());
+    }
+    return 1;
 }
 
 SuiteRegistry &

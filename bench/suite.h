@@ -98,10 +98,6 @@ class SuiteContext
 #endif
     void eprintf(const char *format, ...);
 
-    /** Write raw bytes to the suite's stdout sink (pre-rendered text,
-     * e.g. Google Benchmark's console report). */
-    void write(const std::string &text);
-
     /** The pool this suite's episodes fan out on (never null). */
     sched::FleetScheduler &scheduler() { return *scheduler_; }
 
@@ -219,6 +215,15 @@ struct SuiteInfo
     std::string description;
     int (*fn)(SuiteContext &) = nullptr;
 };
+
+/**
+ * Run `suite` on `context` with its exceptions contained: a throw is
+ * reported on the context's stderr sink as `suite <name> threw: <what>`
+ * and becomes exit code 1. Both drivers (run_all and the standalone
+ * wrapper) run suites through here, so a throwing suite fails the same
+ * way in-process and standalone, and never takes down the fleet.
+ */
+int runSuite(const SuiteInfo &suite, SuiteContext &context);
 
 /**
  * The process-wide suite registry. Registration happens from static

@@ -37,5 +37,5 @@ main(int argc, char **argv)
         config.args.emplace_back(argv[i]);
 
     SuiteContext context(config);
-    return suite->fn(context);
+    return ebs::bench::runSuite(*suite, context);
 }

@@ -24,12 +24,10 @@
  *  - every standalone `bench_*` binary run with EBS_BENCH_SMOKE=1
  *    prints exactly the bytes its suite's run_all log holds.
  *
- * bench_micro_substrate is excluded from both byte comparisons: its
- * stdout is Google Benchmark's console report of host timings, not
- * byte-stable across runs by design (it emits no EBS_METRIC lines, so
- * the metric comparison is unaffected). The `.err.log` diagnostics
- * (host timings, EBS_PHASE_WALL) are likewise host-dependent and
- * deliberately outside the determinism contract.
+ * Both byte comparisons cover every suite `run_all --list-suites`
+ * names, with no exception: a suite whose log goes missing fails them.
+ * The `.err.log` diagnostics (host timings, EBS_PHASE_WALL) are
+ * host-dependent and deliberately outside the determinism contract.
  */
 
 namespace {
@@ -89,9 +87,28 @@ suiteLogs(const FleetRun &run)
     for (const auto &entry : fs::directory_iterator(run.logs)) {
         const std::string name = entry.path().filename().string();
         if (name.size() > 4 && name.ends_with(".log") &&
-            !name.ends_with(".err.log") &&
-            name != "bench_micro_substrate.log")
+            !name.ends_with(".err.log"))
             names.insert(name);
+    }
+    return names;
+}
+
+/** `<suite>.log` for every suite `run_all --list-suites` prints: the
+ * exact log set a full fleet run must produce. */
+std::set<std::string>
+registeredSuiteLogs()
+{
+    const fs::path listing = scratchDir("list_suites") / "suites.txt";
+    std::ostringstream cmd;
+    cmd << benchBinary("run_all") << " --list-suites > " << listing;
+    EXPECT_EQ(std::system(cmd.str().c_str()), 0) << cmd.str();
+    std::set<std::string> names;
+    std::istringstream lines(readFile(listing));
+    for (std::string line; std::getline(lines, line);) {
+        std::istringstream fields(line);
+        std::string name;
+        if (fields >> name)
+            names.insert(name + ".log");
     }
     return names;
 }
@@ -122,7 +139,8 @@ TEST(FleetEquivalence, WorkerCountNeverChangesLogsOrMetrics)
     const FleetRun narrow = runFleet("jobs1", "--jobs 1");
 
     const auto logs = suiteLogs(wide);
-    ASSERT_GE(logs.size(), 10u) << "smoke fleet unexpectedly small";
+    ASSERT_FALSE(logs.empty()) << "smoke fleet wrote no logs";
+    ASSERT_EQ(logs, registeredSuiteLogs());
     EXPECT_EQ(suiteLogs(narrow), logs);
     for (const auto &name : logs)
         EXPECT_EQ(readFile(narrow.logs / name), readFile(wide.logs / name))
@@ -141,7 +159,8 @@ TEST(FleetEquivalence, StandaloneBinariesMatchInProcessLogs)
 
     const FleetRun fleet = runFleet("standalone_ref", "--jobs 8");
     const auto logs = suiteLogs(fleet);
-    ASSERT_GE(logs.size(), 10u) << "smoke fleet unexpectedly small";
+    ASSERT_FALSE(logs.empty()) << "smoke fleet wrote no logs";
+    ASSERT_EQ(logs, registeredSuiteLogs());
 
     const fs::path dir = scratchDir("standalone");
     for (const auto &log : logs) {
@@ -192,6 +211,32 @@ TEST(RunAll, FailedOutputWriteExitsNonzero)
                       .find("run_all: cannot write /dev/full"),
                   std::string::npos)
             << flag;
+    }
+}
+
+TEST(RunAll, UnwritableCsvDirectoryExitsTwo)
+{
+    if (!fs::exists(benchBinary("run_all")))
+        GTEST_SKIP() << "bench targets not built";
+
+    // The CSV directory does not exist, so the open fails; each suite
+    // must say so and exit 2 before running any episode.
+    for (const std::string suite :
+         {"bench_fig5_memory", "bench_fig7_scalability"}) {
+        const fs::path dir = scratchDir("csv_" + suite);
+        const fs::path missing = dir / "missing";
+        std::ostringstream cmd;
+        cmd << "EBS_BENCH_SMOKE=1 " << benchBinary(suite) << " "
+            << missing << " > " << (dir / "suite.out") << " 2> "
+            << (dir / "suite.err");
+        const int rc = std::system(cmd.str().c_str());
+        ASSERT_TRUE(WIFEXITED(rc)) << cmd.str();
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd.str();
+        EXPECT_NE(readFile(dir / "suite.err")
+                      .find(suite + ": cannot write " + missing.string()),
+                  std::string::npos)
+            << suite;
+        EXPECT_EQ(readFile(dir / "suite.out"), "") << suite;
     }
 }
 

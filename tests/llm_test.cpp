@@ -2,39 +2,10 @@
 
 #include "llm/engine.h"
 #include "llm/model_profile.h"
-#include "llm/token.h"
 #include "sim/rng.h"
 
 namespace ebs::llm {
 namespace {
-
-TEST(Token, EmptyIsZero)
-{
-    EXPECT_EQ(approxTokens(""), 0);
-}
-
-TEST(Token, ScalesWithLength)
-{
-    const int small = approxTokens("hello world");
-    const int big = approxTokens(
-        "the quick brown fox jumps over the lazy dog again and again");
-    EXPECT_GT(small, 0);
-    EXPECT_GT(big, small);
-}
-
-TEST(Token, RoughlyFourCharsPerToken)
-{
-    const std::string text(400, 'x');
-    EXPECT_EQ(approxTokens(text), 100);
-}
-
-TEST(Token, ListTokens)
-{
-    EXPECT_EQ(listTokens(5), 30);
-    EXPECT_EQ(listTokens(0), 0);
-    EXPECT_EQ(listTokens(-3), 0);
-    EXPECT_EQ(listTokens(4, 10), 40);
-}
 
 TEST(ModelProfile, PresetsAreOrderedByCapability)
 {

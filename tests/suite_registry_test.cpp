@@ -1,5 +1,6 @@
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,8 @@
  * (bench/suite.h): registration order vs. sorted listing, sink capture,
  * smoke-mode seed clamping, the stamping that re-points
  * process-global service/clock/tracer defaults at the per-suite
- * instances, and the metric payloads a context keeps for run_all.
+ * instances, the metric payloads a context keeps for run_all, and the
+ * exception containment both drivers share (runSuite).
  */
 
 namespace {
@@ -27,6 +29,25 @@ int
 dummySuite(SuiteContext &)
 {
     return 0;
+}
+
+int
+threwSuite(SuiteContext &ctx)
+{
+    ctx.printf("partial table\n");
+    throw std::runtime_error("csv sink vanished");
+}
+
+int
+threwNonStdSuite(SuiteContext &)
+{
+    throw 42;
+}
+
+int
+failingSuite(SuiteContext &)
+{
+    return 2;
 }
 
 // Registered the way a real suite registers (static initializer).
@@ -77,12 +98,11 @@ TEST(SuiteContext, SinksCaptureEveryWrite)
         config.err = err;
         SuiteContext ctx(config);
         ctx.printf("table %d\n", 7);
-        ctx.write("raw bytes");
         ctx.eprintf("diag %.1f\n", 0.5);
         EXPECT_EQ(ctx.out(), out);
         EXPECT_EQ(ctx.err(), err);
     }
-    EXPECT_EQ(drained(out), "table 7\nraw bytes");
+    EXPECT_EQ(drained(out), "table 7\n");
     EXPECT_EQ(drained(err), "diag 0.5\n");
     std::fclose(out);
     std::fclose(err);
@@ -184,6 +204,34 @@ TEST(SuiteContext, MetricsMatchPrintedLinesInOrder)
     EXPECT_EQ(ctx.metrics(), printed);
     EXPECT_EQ(printed[1], "{\"case\":\"grid/a\","
                           "\"spec_conflict_rate\":0.125000}");
+}
+
+TEST(RunSuite, ThrowingSuiteExitsOneWithMessageOnErrSink)
+{
+    std::FILE *out = std::tmpfile();
+    std::FILE *err = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    ASSERT_NE(err, nullptr);
+    SuiteContext::Config config;
+    config.out = out;
+    config.err = err;
+    SuiteContext ctx(config);
+
+    const SuiteInfo threw{"bench_throws", "throws mid-run", threwSuite};
+    EXPECT_EQ(ebs::bench::runSuite(threw, ctx), 1);
+    const SuiteInfo threw_int{"bench_throws_int", "throws an int",
+                              threwNonStdSuite};
+    EXPECT_EQ(ebs::bench::runSuite(threw_int, ctx), 1);
+    // A suite's own nonzero exit code passes through untouched.
+    const SuiteInfo failed{"bench_fails", "returns 2", failingSuite};
+    EXPECT_EQ(ebs::bench::runSuite(failed, ctx), 2);
+
+    EXPECT_EQ(drained(out), "partial table\n");
+    EXPECT_EQ(drained(err),
+              "suite bench_throws threw: csv sink vanished\n"
+              "suite bench_throws_int threw a non-std exception\n");
+    std::fclose(out);
+    std::fclose(err);
 }
 
 } // namespace
